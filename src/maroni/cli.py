@@ -151,13 +151,12 @@ def cmd_verify(args, out) -> int:
         max_g=args.max_g,
         explore_ties=args.tie_exhaustive,
     )
-    failed = False
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         out.write(f"[{status}] {res.name}: {res.checked} cases checked\n")
         for message in res.failures:
-            failed = True
             out.write(f"       {message}\n")
+    failed = not all(res.ok for res in results)
     out.write("RESULT: " + ("FAIL\n" if failed else "PASS\n"))
     return 1 if failed else 0
 

@@ -57,12 +57,16 @@ VARIANTS = (VARIANT_ST, VARIANT_CORR1, VARIANT_CORR2, VARIANT_MIN)
 CONDITIONAL_TAIL = "conditional:unit-tail"
 
 
+def _hodge_local(bt: BoundaryType) -> Fraction:
+    """d - sum 1/m_nu."""
+    return Fraction(bt.d) - sum(Fraction(1, p) for p in bt.mu.parts)
+
+
 def _local_term(bt: BoundaryType) -> Fraction:
     """m ( (1/12)(d - sum 1/m_nu) + j(b-j)(d-2)/(8(b-1)(d-1)) )."""
     d, b, j, m = bt.d, bt.params.b, bt.j, bt.m
-    hodge_local = Fraction(d) - sum(Fraction(1, p) for p in bt.mu.parts)
     return m * (
-        hodge_local / 12
+        _hodge_local(bt) / 12
         + Fraction(j * (b - j) * (d - 2), 8 * (b - 1) * (d - 1))
     )
 
@@ -78,9 +82,8 @@ def sigma_st(bt: BoundaryType) -> Fraction:
 
 def lambda_coeff(bt: BoundaryType) -> Fraction:
     """Coefficient of the boundary type in the Hodge class."""
-    b, j, m, d = bt.params.b, bt.j, bt.m, bt.d
-    hodge_local = Fraction(d) - sum(Fraction(1, p) for p in bt.mu.parts)
-    return m * (Fraction(j * (b - j), 8 * (b - 1)) - hodge_local / 12)
+    b, j, m = bt.params.b, bt.j, bt.m
+    return m * (Fraction(j * (b - j), 8 * (b - 1)) - _hodge_local(bt) / 12)
 
 
 def psi_coeff(bt: BoundaryType) -> Fraction:

@@ -29,9 +29,11 @@ the R_0 side) and g_i = ((m-i)a - delta_i)/2; rounding uses the same
 e-chain for (d-1)a_i = g_i + x_i plus the parity shift e'_i = e_i for m-i
 even and e_i + 1/2 for m-i odd, which makes the x-coordinates integral.
 
-Everything here is exact; brute-force maximization over a radius box is
-available as an independent oracle (a naive product scan for small boxes,
-an equivalent exact chain dynamic program for the larger ones).
+Everything here is exact.  Each functional also has one integer form, a
+``ChainQuadratic`` (node terms, edge terms, pinned end state), whose exact
+chain dynamic program maximizes it over a radius box as an independent
+oracle; the naive product scan over the same box is kept as the test
+reference for that dynamic program.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor
+from typing import Any, Callable
 
 from .chain import (
     ChainModel,
@@ -56,10 +59,6 @@ from .combinatorics import BoundaryType
 from .errors import ApplicabilityError, DomainError, InvariantError
 
 HALF = Fraction(1, 2)
-
-# in "auto" mode the scan oracles switch from the naive product scan to
-# the exact chain dynamic program above this many lattice points
-NAIVE_SCAN_LIMIT = 20_000
 
 
 @dataclass(frozen=True)
@@ -182,15 +181,6 @@ def fmax_n(bt: BoundaryType) -> Fraction:
     ) + Fraction(bt.delta_square_sum, 8 * (d - 1))
 
 
-def _fibre_term(bt: BoundaryType) -> Fraction:
-    """f_A - f_{A+(d-1)N} at the rounded point: -mc/2 for c > 0, else 0."""
-    return Fraction(-bt.m * bt.c, 2) if bt.c > 0 else Fraction(0)
-
-
-def _n_divisor(chain: ChainModel, alpha) -> FibralDivisor:
-    return fibral(chain, list(alpha) + [0])
-
-
 def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResult:
     """The reduction of the standard coefficient by the best single twist.
 
@@ -206,7 +196,7 @@ def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResu
 
     std = a_standard(bt)
     chain = std.divisor.chain
-    n_div = _n_divisor(chain, point.alpha)
+    n_div = fibral(chain, [*point.alpha, 0])
     if f_twist(bt, n_div) != f_alpha:
         raise InvariantError(f"rounded value mismatch at {bt}")
 
@@ -217,7 +207,7 @@ def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResu
     if any(fibre_part.coeffs):
         raise InvariantError(f"twisted divisor has a fibre part at {bt}")
 
-    delta = f_alpha + _fibre_term(bt)
+    delta = f_alpha + std.fibre_part_degree
     if delta < 0:
         raise InvariantError(f"negative correction {delta} at {bt}")
     if Fraction(bt.m, 4) - point.sum_sq < 0:
@@ -227,84 +217,72 @@ def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResu
     )
 
 
-def _single_scan_data(bt: BoundaryType) -> tuple[tuple[int, ...], int]:
-    """Integer data for fast evaluation of 2 f(N) at integer points."""
-    degrees = a_standard(bt).degrees
-    return degrees[: bt.m], bt.d - 1
+@dataclass(frozen=True)
+class ChainQuadratic:
+    """An integer objective on the states s_0..s_{m-1} of a chain.
+
+    The value is sum_i node(i, s_i) + sum_{i=1}^m edge(s_{i-1}, s_i) with
+    s_m pinned to ``end``.  A box is one iterable of allowed states per
+    chain position.
+    """
+
+    node: Callable[[int, Any], int]
+    edge: Callable[[Any, Any], int]
+    end: Any
+
+    def value(self, states) -> int:
+        chain = [*states, self.end]
+        return sum(self.node(i, s) for i, s in enumerate(chain[:-1])) + sum(
+            self.edge(sp, s) for sp, s in zip(chain, chain[1:])
+        )
+
+    def box_max(self, boxes) -> int:
+        """Exact maximum over the box by dynamic programming along the chain."""
+        boxes = list(boxes)
+        scores = {s: self.node(0, s) for s in boxes[0]}
+        for i in range(1, len(boxes)):
+            scores = {
+                s: self.node(i, s)
+                + max(v + self.edge(sp, s) for sp, v in scores.items())
+                for s in boxes[i]
+            }
+        return max(v + self.edge(sp, self.end) for sp, v in scores.items())
+
+    def scan_max(self, boxes) -> int:
+        """The same maximum by enumerating the box point by point."""
+        return max(self.value(states) for states in itertools.product(*boxes))
 
 
-def _f2_at(coords, degrees, dm1: int) -> int:
-    """2 f(N) for integer coordinates: all-integer arithmetic."""
-    n0 = coords[0]
-    lin = sum(x * v for x, v in zip(coords, degrees))
-    prev, quad = None, 0
-    for x in coords:
-        if prev is not None:
-            quad += (prev - x) ** 2
-        prev = x
-    quad += prev**2  # step down to the implicit 0 on R_m
-    return 2 * lin + dm1 * (n0 - quad)
+def single_quadratic(bt: BoundaryType) -> ChainQuadratic:
+    """2 f(N) on integer coordinates of N on R_0..R_{m-1} (R_m pinned to 0).
+
+    2 f(N) = 2 N.A + (d-1)(N.N - N.theta), with N.A = sum x_i (A.R_i),
+    N.N = -sum (x_{i-1} - x_i)^2 and N.theta = -x_0.
+    """
+    degrees, dm1 = a_standard(bt).degrees, bt.d - 1
+    return ChainQuadratic(
+        node=lambda i, x: 2 * x * degrees[i] + (dm1 * x if i == 0 else 0),
+        edge=lambda xp, x: -dm1 * (xp - x) ** 2,
+        end=0,
+    )
 
 
-def _pick_method(method: str, box_size: int) -> str:
-    if method not in ("auto", "naive", "dp"):
-        raise DomainError(f"unknown scan method {method!r}")
-    if method != "auto":
-        return method
-    return "naive" if box_size <= NAIVE_SCAN_LIMIT else "dp"
+def _radius_box(center: int, radius: int) -> range:
+    return range(center - radius, center + radius + 1)
 
 
-def verify_integer_max(bt: BoundaryType, radius: int = 3,
-                       method: str = "auto") -> bool:
-    """Check by exhaustive box scan that the rounded point maximizes f.
+def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
+    """Check by exhaustive box search that the rounded point maximizes f.
 
-    Scans every integer vector within sup-distance ``radius`` of the
-    rounded point; returns True iff none exceeds its value.  The "naive"
-    method enumerates the box point by point; "dp" maximizes the same
-    objective over the same box by an exact chain dynamic program; "auto"
-    picks by box size.
+    Maximizes 2 f over every integer vector within sup-distance ``radius``
+    of the rounded point; returns True iff nothing exceeds its value there.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
     point = round_chain(critical_n(bt))
-    degrees, dm1 = _single_scan_data(bt)
-    base = _f2_at(point.alpha, degrees, dm1)
-    m = bt.m
-    if _pick_method(method, (2 * radius + 1) ** m) == "naive":
-        offsets = range(-radius, radius + 1)
-        for h in itertools.product(offsets, repeat=m):
-            coords = tuple(x + dx for x, dx in zip(point.alpha, h))
-            if _f2_at(coords, degrees, dm1) > base:
-                return False
-        return True
-    return _chain_box_max(
-        node=lambda i, x: 2 * x * degrees[i] + (dm1 * x if i == 0 else 0),
-        edge=lambda i, xp, x: -dm1 * (xp - x) ** 2,
-        centers=point.alpha,
-        radius=radius,
-    ) <= base
-
-
-def _chain_box_max(node, edge, centers, radius) -> int:
-    """Exact maximum of a chain-structured objective over a radius box.
-
-    The objective is sum_i node(i, v_i) + sum_{i=1}^m edge(i, v_{i-1}, v_i)
-    with v_m pinned to 0 and each v_i ranging over centers[i] +- radius.
-    Dynamic programming over the chain makes this an exhaustive-equivalent
-    search.
-    """
-    m = len(centers)
-
-    def values(i: int) -> list[int]:
-        return list(range(centers[i] - radius, centers[i] + radius + 1))
-
-    scores = {v: node(0, v) for v in values(0)}
-    for i in range(1, m):
-        scores = {
-            v: node(i, v) + max(s + edge(i, vp, v) for vp, s in scores.items())
-            for v in values(i)
-        }
-    return max(s + edge(m, vp, 0) for vp, s in scores.items())
+    quad = single_quadratic(bt)
+    boxes = [_radius_box(a, radius) for a in point.alpha]
+    return quad.box_max(boxes) <= quad.value(point.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +411,65 @@ def correction_ln(bt: BoundaryType, explore_ties: bool = False) -> CorrectionRes
     std = a_standard(bt)
     chain = std.divisor.chain
     assert point.xi is not None
-    g_div = _n_divisor(chain, point.alpha).scaled(bt.d - 1) - _n_divisor(
-        chain, point.xi
+    g_div = fibral(chain, [*point.alpha, 0]).scaled(bt.d - 1) - fibral(
+        chain, [*point.xi, 0]
     )
     twisted = std.divisor + g_div
     if min(twisted.coeffs) < 0 or twisted.coeffs[-1] != 0:
         raise InvariantError(f"A + G not effective at {bt}")
 
-    delta = value + _fibre_term(bt)
+    delta = value + std.fibre_part_degree
     if delta < 0:
         raise InvariantError(f"negative joint correction {delta} at {bt}")
     return CorrectionResult(
         bt, delta, replace(point, value=value), fmax, point.sum_sq
     )
+
+
+def joint_quadratic(bt: BoundaryType) -> ChainQuadratic:
+    """2(d-1) f(Z, N) on integer states (n_i, x_i), R_m pinned to (0, 0).
+
+    With g = (d-1)n - x this is (d-2) X.X + W.X + G.G + (d-1) g_0 + 2 G.A,
+    the pairings read off the rows W.R_i and A.R_i.
+    """
+    m, d = bt.m, bt.d
+    chain = ChainModel(m)
+    w_div = branch_functional_divisor(bt)
+    w_rows = [int(intersect(w_div, component(chain, i))) for i in range(m)]
+    v_rows = a_standard(bt).degrees
+
+    def node(i: int, s: tuple[int, int]) -> int:
+        n, x = s
+        g = (d - 1) * n - x
+        val = x * w_rows[i] + 2 * g * v_rows[i]
+        return val + (d - 1) * g if i == 0 else val
+
+    def edge(sp: tuple[int, int], s: tuple[int, int]) -> int:
+        gp = (d - 1) * sp[0] - sp[1]
+        g = (d - 1) * s[0] - s[1]
+        return -(d - 2) * (sp[1] - s[1]) ** 2 - (gp - g) ** 2
+
+    return ChainQuadratic(node, edge, end=(0, 0))
+
+
+def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
+    """Exhaustive box check of the joint integer maximum at (alpha, xi).
+
+    Integer perturbations of both coordinate blocks within the radius are
+    searched, keeping the effectivity constraint xi >= 0; True iff no point
+    exceeds the rounded value.
+    """
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
+    point = joint_round(bt)
+    assert point.xi is not None
+    quad = joint_quadratic(bt)
+    boxes = [
+        [(n, x) for n in _radius_box(a, radius)
+         for x in _radius_box(xi, radius) if x >= 0]
+        for a, xi in zip(point.alpha, point.xi)
+    ]
+    return quad.box_max(boxes) <= quad.value(zip(point.alpha, point.xi))
 
 
 # ---------------------------------------------------------------------------
@@ -559,87 +583,3 @@ def verify_trigonal_nodal_max(bt: BoundaryType, margin: int = 3) -> bool:
                         return False
                     attained = attained or value == effective_max
     return attained
-
-
-def _joint_scan_data(bt: BoundaryType):
-    """Integer pairing data for 2(d-1) f(Z, N) at integer points."""
-    m = bt.m
-    chain = ChainModel(m)
-    std = a_standard(bt)
-    w_div = branch_functional_divisor(bt)
-    w_rows = [int(intersect(w_div, component(chain, i))) for i in range(m)]
-    v_rows = list(std.degrees[:m])
-    return w_rows, v_rows
-
-
-def _joint_f_scaled(bt: BoundaryType, nvec, xvec, w_rows, v_rows) -> int:
-    """2(d-1) f(Z, N) as a plain integer."""
-    d, m = bt.d, bt.m
-    g = [(d - 1) * n - x for n, x in zip(nvec, xvec)]
-    xs = list(xvec) + [0]
-    gs = g + [0]
-    x_sq = -sum((xs[i - 1] - xs[i]) ** 2 for i in range(1, m + 1))
-    g_sq = -sum((gs[i - 1] - gs[i]) ** 2 for i in range(1, m + 1))
-    wx = sum(w * x for w, x in zip(w_rows, xvec))
-    ga = sum(vi * gi for vi, gi in zip(v_rows, g))
-    return (d - 2) * x_sq + wx + g_sq + (d - 1) * g[0] + 2 * ga
-
-
-def verify_joint_max(bt: BoundaryType, radius: int = 3,
-                     method: str = "auto") -> bool:
-    """Exhaustive box check of the joint integer maximum at (alpha, xi).
-
-    Integer perturbations of both coordinate blocks within the radius are
-    scanned, keeping the effectivity constraint xi >= 0; True iff no point
-    exceeds the rounded value.  The "dp" method maximizes the same
-    objective over the same box by an exact chain dynamic program over
-    paired states; "auto" picks by box size.
-    """
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-    point = joint_round(bt)
-    assert point.xi is not None
-    w_rows, v_rows = _joint_scan_data(bt)
-    base = _joint_f_scaled(bt, point.alpha, point.xi, w_rows, v_rows)
-    m, d = bt.m, bt.d
-
-    if _pick_method(method, (2 * radius + 1) ** (2 * m)) == "naive":
-        offsets = range(-radius, radius + 1)
-        for h in itertools.product(offsets, repeat=m):
-            nvec = tuple(a + dh for a, dh in zip(point.alpha, h))
-            for w in itertools.product(offsets, repeat=m):
-                xvec = tuple(x + dw for x, dw in zip(point.xi, w))
-                if min(xvec) < 0:
-                    continue
-                if _joint_f_scaled(bt, nvec, xvec, w_rows, v_rows) > base:
-                    return False
-        return True
-
-    # paired-state chain DP: states are (n_i, x_i) within the box
-    def states(i: int) -> list[tuple[int, int]]:
-        ns = range(point.alpha[i] - radius, point.alpha[i] + radius + 1)
-        xlo = max(point.xi[i] - radius, 0)
-        xs = range(xlo, point.xi[i] + radius + 1)
-        return [(n, x) for n in ns for x in xs]
-
-    def node(i: int, s: tuple[int, int]) -> int:
-        n, x = s
-        g = (d - 1) * n - x
-        val = x * w_rows[i] + 2 * g * v_rows[i]
-        if i == 0:
-            val += (d - 1) * g
-        return val
-
-    def edge(sp: tuple[int, int], s: tuple[int, int]) -> int:
-        gp = (d - 1) * sp[0] - sp[1]
-        g = (d - 1) * s[0] - s[1]
-        return -(d - 2) * (sp[1] - s[1]) ** 2 - (gp - g) ** 2
-
-    scores = {s: node(0, s) for s in states(0)}
-    for i in range(1, m):
-        scores = {
-            s: node(i, s) + max(v + edge(sp, s) for sp, v in scores.items())
-            for s in states(i)
-        }
-    best = max(v + edge(sp, (0, 0)) for sp, v in scores.items())
-    return best <= base

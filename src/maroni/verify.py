@@ -51,7 +51,8 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """Pass only when at least one case was covered and none failed."""
+        return self.checked > 0 and not self.failures
 
     def count(self) -> None:
         self.checked += 1

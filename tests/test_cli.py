@@ -1,9 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import maroni
 from maroni.cli import main
 
 
@@ -136,6 +139,17 @@ def test_verify_identities_small_range():
     assert "sigma_corr1" in text and "RESULT: PASS" in text
 
 
+def test_verify_fails_checks_that_cover_no_cases():
+    # no boundary type has d <= 2, so these checks cover zero cases
+    for suite in ("identities", "lattice"):
+        code, text = run_cli("verify", "--suite", suite, "--max-d", "2")
+        assert code == 1
+        assert "RESULT: FAIL" in text
+        for line in text.splitlines():
+            if line.endswith(": 0 cases checked"):
+                assert line.startswith("[FAIL] ")
+
+
 def test_verify_reports_failures_with_exit_one(monkeypatch):
     import maroni.cli as cli
     from maroni.verify import CheckResult
@@ -150,22 +164,25 @@ def test_verify_reports_failures_with_exit_one(monkeypatch):
     assert "RESULT: FAIL" in text
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "maroni.cli", "classes", "--d", "3", "--g", "2",
-         "--format", "csv"],
+def run_module(*argv):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(maroni.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "maroni.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = run_module("classes", "--d", "3", "--g", "2", "--format", "csv")
     assert proc.returncode == 0
     assert "4,(1|1|1),3,1,0,0,1/7,st,-" in proc.stdout
 
 
 def test_console_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "maroni.cli", "classes", "--d", "3", "--g", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("classes", "--d", "3", "--g", "3")
     assert proc.returncode == 2
     assert "g=(d-1)k" in proc.stderr

@@ -22,8 +22,10 @@ from maroni.lattice import (
     fmax_n,
     joint_critical,
     joint_f_value,
+    joint_quadratic,
     joint_round,
     round_chain,
+    single_quadratic,
     verify_integer_max,
     verify_joint_max,
 )
@@ -210,20 +212,41 @@ def test_integer_max_examples():
     assert verify_integer_max(bt_of(3, 2, 4, (1, 1, 1)), radius=5)
 
 
+def _box(center, radius):
+    return range(center - radius, center + radius + 1)
+
+
 def test_integer_max_methods_agree():
+    # the chain DP and the naive product scan agree on boxes around the
+    # rounded point, where the rounded value is the maximum, and on boxes
+    # moved away from it
     for bt in small_types(max_d=5):
-        if bt.m <= 4:
-            naive = verify_integer_max(bt, 2, method="naive")
-            dp = verify_integer_max(bt, 2, method="dp")
-            assert naive == dp == True  # noqa: E712
+        if bt.m > 4:
+            continue
+        alpha = round_chain(critical_n(bt)).alpha
+        quad = single_quadratic(bt)
+        for radius in range(3):
+            boxes = [_box(a, radius) for a in alpha]
+            assert quad.scan_max(boxes) == quad.box_max(boxes) == quad.value(alpha)
+            moved = [_box(a + 2 * radius + 1, radius) for a in alpha]
+            assert quad.scan_max(moved) == quad.box_max(moved) <= quad.value(alpha)
+
+
+def test_single_quadratic_matches_pairing_functional():
+    rng = random.Random(5)
+    for bt in small_types():
+        quad = single_quadratic(bt)
+        chain = ChainModel(bt.m)
+        for _ in range(6):
+            alpha = [rng.randint(-8, 8) for _ in range(bt.m)]
+            n_div = fibral(chain, [*alpha, 0])
+            assert quad.value(alpha) == 2 * f_twist(bt, n_div)
 
 
 def test_scan_radius_validation():
     bt = bt_of(3, 4, 4, (3,))
     with pytest.raises(DomainError):
         verify_integer_max(bt, radius=-1)
-    with pytest.raises(DomainError):
-        verify_integer_max(bt, radius=2, method="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +370,34 @@ def test_joint_max_radius_zero():
 
 
 def test_joint_max_methods_agree():
-    for bt in small_types(max_d=5):
-        if bt.mu.has_unit_part and bt.m <= 2:
-            naive = verify_joint_max(bt, 2, method="naive")
-            dp = verify_joint_max(bt, 2, method="dp")
-            assert naive == dp == True  # noqa: E712
-    # one deeper chain: mu=(2,1) style at m=2 plus a length-3 case
-    bt = bt_of(4, 3, 4, (3, 1))
-    assert verify_joint_max(bt, 2, method="naive") == verify_joint_max(bt, 2, method="dp")
+    cases = [bt for bt in small_types(max_d=5)
+             if bt.mu.has_unit_part and bt.m <= 2]
+    cases.append(bt_of(4, 3, 4, (3, 1)))  # one deeper chain, m = 3
+    for bt in cases:
+        pt = joint_round(bt)
+        quad = joint_quadratic(bt)
+        best = quad.value(zip(pt.alpha, pt.xi))
+        for radius in range(3):
+            boxes = [
+                [(n, x) for n in _box(a, radius)
+                 for x in _box(xi, radius) if x >= 0]
+                for a, xi in zip(pt.alpha, pt.xi)
+            ]
+            assert quad.scan_max(boxes) == quad.box_max(boxes) == best
+
+
+def test_joint_quadratic_matches_pairing_functional():
+    rng = random.Random(6)
+    for bt in small_types():
+        if not bt.mu.has_unit_part:
+            continue
+        quad = joint_quadratic(bt)
+        for _ in range(6):
+            nvec = [rng.randint(-8, 8) for _ in range(bt.m)]
+            xvec = [rng.randint(0, 8) for _ in range(bt.m)]
+            assert quad.value(zip(nvec, xvec)) == (
+                2 * (bt.d - 1) * joint_f_value(bt, nvec, xvec)
+            )
 
 
 def test_nodal_ray_forms():
