@@ -34,7 +34,6 @@ from .chain import (
     fibral,
     full_fibre,
     intersect,
-    normal_surface_numbers,
     shift_and_fibre_part,
     theta_dot,
     we_divisor,
@@ -66,6 +65,7 @@ from .lattice import (
     joint_round,
     nodal_f1,
     round_chain,
+    single_round,
     trigonal_nodal_rays,
     verify_integer_max,
     verify_joint_max,

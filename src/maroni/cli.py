@@ -9,7 +9,9 @@ Subcommands:
 * ``verify``   - the property suites (lattice | identities | tables | all).
 
 Rationals are always printed exactly ("p/q" or "p"); partitions print as
-"(3|2|1)".  Exit codes: 0 success, 1 verification failure, 2 usage error.
+"(3|2|1)".  Exit codes: 0 success, 1 verification failure, 2 usage error
+(bad input, or a construction that does not apply), 3 internal invariant
+failure (a bug, reported as one line, not a traceback).
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import formulas, verify
 from .combinatorics import HurwitzParams
-from .errors import DomainError
+from .errors import ApplicabilityError, DomainError, InvariantError
 
 CSV_HEADER = "j,mu,n,m,r,c,coefficient,variant,provenance"
 
@@ -41,8 +44,8 @@ def _json_cell(value):
     return value
 
 
-def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
-    """Write rows as an aligned table, csv, or json.
+def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
+    """Write rows, read once, as an aligned table, csv, or json.
 
     Cells may be ints, Fractions, strings or None; rationals serialize as
     exact "p/q" strings in every format, never as floats.
@@ -72,7 +75,9 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
 def cmd_classes(args, out) -> int:
     params = _params(args)
     table = formulas.build_table(params, args.variant, args.tie_exhaustive)
-    rows = [
+    # a generator: _emit_rows reads each row once, so the rendered rows are
+    # never all held in memory next to the table
+    rows = (
         [
             r.bt.j,
             str(r.bt.mu),
@@ -85,7 +90,7 @@ def cmd_classes(args, out) -> int:
             r.provenance,
         ]
         for r in table.rows
-    ]
+    )
     _emit_rows(CSV_HEADER.split(","), rows, args.format, out)
     return 0
 
@@ -215,9 +220,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except DomainError as exc:
+    except (DomainError, ApplicabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

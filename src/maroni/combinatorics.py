@@ -130,43 +130,42 @@ def enumerate_partitions(d: int) -> list[Partition]:
 
 @dataclass(frozen=True)
 class GcdProfile:
-    """The table d_{nu,i} and the vector delta_i = d - sum_nu d_{nu,i}.
+    """The vector delta_i = d - sum_nu d_{nu,i} and its step square sum.
 
-    Rows are indexed by the parts (nu = 1..n), columns by i = 0..m, with
-    the convention d_{nu,0} = m_nu; since m_nu divides m this also gives
-    d_{nu,m} = m_nu, so delta_0 = delta_m = 0.  The vector is symmetric,
-    delta_i = delta_{m-i}.
+    d_{nu,i} = gcd(m_nu, i) for i = 0..m, so d_{nu,0} = m_nu; since m_nu
+    divides m also d_{nu,m} = m_nu, hence delta_0 = delta_m = 0.  The
+    vector is symmetric, delta_i = delta_{m-i}.  Only delta and its step
+    square sum are stored; the table d_{nu,i} is rebuilt on access.
     """
 
     mu: Partition
-    d_table: tuple[tuple[int, ...], ...]
     delta: tuple[int, ...]
+    step_square_sum: int  # sum_{i=1}^m (delta_i - delta_{i-1})^2
 
     @property
-    def step_square_sum(self) -> int:
-        """sum_{i=1}^m (delta_i - delta_{i-1})^2."""
-        return sum(
-            (a - b) ** 2 for a, b in zip(self.delta[1:], self.delta[:-1])
+    def d_table(self) -> tuple[tuple[int, ...], ...]:
+        """Rows d_{nu,0..m}, one per part."""
+        m = self.mu.m
+        return tuple(
+            tuple(gcd(part, i) for i in range(m + 1)) for part in self.mu.parts
         )
 
 
 @functools.lru_cache(maxsize=None)
 def gcd_profile(mu: Partition) -> GcdProfile:
-    """Compute the gcd table and delta vector of a partition.
+    """Compute the delta vector of a partition.
 
     >>> gcd_profile(Partition((3,))).delta
     (0, 2, 2, 0)
     """
     d, m = mu.d, mu.m
-    table = tuple(
-        tuple(part if i == 0 else gcd(part, i) for i in range(m + 1))
-        for part in mu.parts
-    )
-    delta = tuple(d - sum(row[i] for row in table) for i in range(m + 1))
-    return GcdProfile(mu, table, delta)
+    # gcd(m_nu, 0) = m_nu is the convention d_{nu,0} = m_nu
+    delta = tuple(d - sum(gcd(p, i) for p in mu.parts) for i in range(m + 1))
+    steps = sum((a - b) ** 2 for a, b in itertools.pairwise(delta))
+    return GcdProfile(mu, delta, steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryType:
     """An admissible boundary pair (j, mu) together with its derived data.
 

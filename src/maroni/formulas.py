@@ -55,6 +55,8 @@ VARIANTS = (VARIANT_ST, VARIANT_CORR1, VARIANT_CORR2, VARIANT_MIN)
 # over the end component carrying b - j branch points, which is not
 # determined by (j, mu) alone
 CONDITIONAL_TAIL = "conditional:unit-tail"
+# one shared string, not one per row
+CORR2_MIN_PROVENANCE = f"{VARIANT_CORR2}({CONDITIONAL_TAIL})"
 
 
 def _hodge_local(bt: BoundaryType) -> Fraction:
@@ -95,7 +97,7 @@ def psi_coeff(bt: BoundaryType) -> Fraction:
 def sigma_corr1(bt: BoundaryType, explore_ties: bool = False) -> Fraction:
     """Coefficient after the best single boundary-line-bundle twist."""
     d, m = bt.d, bt.m
-    point = lattice.round_chain(lattice.critical_n(bt), explore_ties)
+    point = lattice.single_round(bt, explore_ties)
     return (
         _local_term(bt)
         - Fraction(bt.delta_square_sum, 8 * (d - 1))
@@ -144,7 +146,7 @@ def sigma_min(
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     bt: BoundaryType
     coefficient: Fraction
@@ -186,7 +188,7 @@ def build_table(
             rows.append(TableRow(bt, value, variant, CONDITIONAL_TAIL))
         else:
             value, tag = sigma_min(bt, explore_ties)
-            prov = tag if tag != VARIANT_CORR2 else f"{tag}({CONDITIONAL_TAIL})"
+            prov = tag if tag != VARIANT_CORR2 else CORR2_MIN_PROVENANCE
             rows.append(TableRow(bt, value, variant, prov))
     return DivisorClassTable(params, variant, tuple(rows))
 

@@ -6,16 +6,27 @@ the boundary coefficient of the extended Maroni class by
     f(N) = N.A + ((d-1)/2) (N.N - N.theta),
 
 a negative-definite quadratic in the coefficients of N on R_0..R_{m-1}.
-Its critical point has coordinates a_i = ((m-i)a - delta_i)/(2(d-1)) with
-a = d - 1 + c, generally irrational for the lattice, so it is rounded:
-choose alpha_{m-1} = a_{m-1} + e_{m-1} with e_{m-1} in [-1/2, 1/2), then
-successively alpha_i = a_i + e_i with |e_i - e_{i+1}| <= 1/2.  Any point
-produced this way maximizes f over the integer lattice, with
+Its critical point a_i = N_i/D, with N_i = (m-i)a - delta_i, D = 2(d-1)
+and a = d - 1 + c, is rounded in one integer pass from i = m-1 down to 0
+that carries the scaled residual E_i = alpha_i D - N_i (E_m = 0):
 
-    f(alpha) = f_max - ((d-1)/2) sum_{i=1}^m (e_{i-1} - e_i)^2,
+    alpha_i = ceil((2(N_i + E_{i+1}) - D) / (2D)),
 
+the least integer whose edge residual E_i - E_{i+1} lies in [-D/2, D/2).
+Any point with every |E_i - E_{i+1}| <= D/2 maximizes f over the integer
+lattice, with f(alpha) = f_max - ((d-1)/2) sum_{i=1}^m (E_{i-1} - E_i)^2/D^2,
 and the divisor A + (d-1)N it produces has non-negative chain coefficients
 with the R_m one equal to 0, so no fibre part is left over.
+
+Ties.  When 2(N_i + E_{i+1}) = D mod 2D both alpha_i and alpha_i + 1 are
+admissible, with edge residuals -D/2 and D/2.  All admissible points have
+the same sum of squares.  Proof: taking alpha_i + 1 raises E_i by D, so
+the next target N_{i-1} + E_i moves by D, alpha_{i-1} by 1 and E_{i-1} by
+D; by induction every alpha_t, E_t with t < i moves by 1, D, and every
+edge residual E_{t-1} - E_t with t < i, and whether it is tied, is
+unchanged.  Only edge (i, i+1) changes, from -D/2 to D/2, with the same
+square.  So the tie-exploring mode returns the default point, checking
+at each tied edge that the other integer gives the negated edge residual.
 
 When the partition has a part equal to 1 and the component over R_0
 through that point is a rational tail of degree 1, an effective upstairs
@@ -24,10 +35,11 @@ G = (d-1)N - X the joint functional
 
     f(Z, N) = (1/(2(d-1))) ((d-2) X.X + W.X + G.(G - (d-1) theta + 2A))
 
-has critical coordinates x_i = ((m-i)l - delta_i)/(2(d-2)) (l = b - j on
-the R_0 side) and g_i = ((m-i)a - delta_i)/2; rounding uses the same
-e-chain for (d-1)a_i = g_i + x_i plus the parity shift e'_i = e_i for m-i
-even and e_i + 1/2 for m-i odd, which makes the x-coordinates integral.
+has critical coordinates x_i = X_i/(2(d-2)), X_i = (m-i)l - delta_i (l =
+b - j on the R_0 side) and g_i = ((m-i)a - delta_i)/2.  The same pass
+rounds (g_i + x_i)/(d-1) = N_i/D with N_i = ((m-i)a - delta_i)(d-2) + X_i,
+D = 2(d-1)(d-2); the parity shift e'_i = E_i/D (+ 1/2 when m-i is odd)
+makes xi_i = x_i + e'_i = ((d-1)X_i + E_i + [m-i odd] D/2)/D an integer.
 
 Everything here is exact.  Each functional also has one integer form, a
 ``ChainQuadratic`` (node terms, edge terms, pinned end state), whose exact
@@ -41,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor
+from math import lcm
 from typing import Any, Callable
 
 from .chain import (
@@ -58,26 +70,44 @@ from .chain import (
 from .combinatorics import BoundaryType
 from .errors import ApplicabilityError, DomainError, InvariantError
 
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class RoundedPoint:
-    """An integer point near a rational critical point of the twist form.
+    """An integer point near a rational critical point N/den of a twist form.
 
-    ``alpha`` are the rounded chain coefficients and ``e`` the residuals
-    alpha_i - a_i (with e_m = 0 implicit); ``sum_sq`` is
-    sum_{i=1}^m (e_{i-1} - e_i)^2.  For the joint construction ``xi`` and
-    ``eprime`` hold the effective-divisor coordinates and their parity-
-    shifted residuals.  ``value`` is the exact functional value.
+    ``alpha`` are the rounded chain coefficients and ``scaled`` the scaled
+    residuals E_i = alpha_i den - N_i (E_m = 0 implicit).  The residuals
+    ``e`` (E_i/den), ``sum_sq`` = sum_{i=1}^m (e_{i-1} - e_i)^2 and, for
+    the joint construction, the parity-shifted ``eprime`` are derived on
+    access.  ``xi`` holds the joint effective-divisor coordinates and
+    ``value`` the exact functional value.
     """
 
     alpha: tuple[int, ...]
-    e: tuple[Fraction, ...]
-    sum_sq: Fraction
+    scaled: tuple[int, ...]
+    den: int
     xi: tuple[int, ...] | None = None
-    eprime: tuple[Fraction, ...] | None = None
     value: Fraction | None = None
+
+    @property
+    def e(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self.den) for s in self.scaled)
+
+    @property
+    def sum_sq(self) -> Fraction:
+        s = self.scaled
+        steps = sum((p - q) ** 2 for p, q in itertools.pairwise(s))
+        return Fraction(steps + s[-1] ** 2, self.den**2)
+
+    @property
+    def eprime(self) -> tuple[Fraction, ...] | None:
+        if self.xi is None:
+            return None
+        m, den = len(self.scaled), self.den
+        return tuple(
+            Fraction(2 * s + (den if (m - i) % 2 else 0), 2 * den)
+            for i, s in enumerate(self.scaled)
+        )
 
 
 @dataclass(frozen=True)
@@ -91,51 +121,47 @@ class CorrectionResult:
     sum_sq: Fraction
 
 
-def _residual_sum_sq(e: list[Fraction]) -> Fraction:
-    chain = list(e) + [Fraction(0)]
-    return sum((a - b) ** 2 for a, b in zip(chain, chain[1:]))
+def _round_scaled(nums, den: int, check_ties: bool) -> RoundedPoint:
+    """The half-open rounding of nums/den in one integer pass (see above)."""
+    m = len(nums)
+    alpha, scaled = [0] * m, [0] * m
+    two_den, resid = 2 * den, 0
+    for i in range(m - 1, -1, -1):
+        twice = 2 * (nums[i] + resid)
+        low = -((den - twice) // two_den)  # ceil((twice - den) / two_den)
+        scaled_i = low * den - nums[i]
+        if check_ties and (twice + den) // two_den > low:
+            edge = scaled_i - resid  # low + 1 is admissible too
+            if edge + den != -edge:
+                raise InvariantError(f"tied edge {i} over {den} is asymmetric")
+        alpha[i], scaled[i], resid = low, scaled_i, scaled_i
+    return RoundedPoint(tuple(alpha), tuple(scaled), den)
 
 
-def round_chain(targets, explore_ties: bool = False) -> RoundedPoint:
-    """Round a rational target vector to the lattice along the chain.
+def round_chain(
+    targets, explore_ties: bool = False, den: int | None = None
+) -> RoundedPoint:
+    """Round a target vector to the lattice along the chain.
 
-    The last coordinate is rounded with residual in [-1/2, 1/2), each
-    earlier one with residual within 1/2 of its successor.  By default the
-    half-open interval makes the choice deterministic; with
-    ``explore_ties`` both admissible integers at a boundary tie are
-    explored (at most 2^m branches) and the branch minimizing
-    sum (e_{i-1} - e_i)^2, or equivalently maximizing the twist functional,
-    is returned.  All branches attain the same functional value, so this
-    is an agreement check rather than a search.
+    The targets are rationals, or integer numerators over ``den``.  The
+    last coordinate is rounded with residual in [-1/2, 1/2), each earlier
+    one with residual within [-1/2, 1/2) of its successor's.  At a tie
+    every admissible choice gives the same sum (e_{i-1} - e_i)^2 (module
+    docstring), so ``explore_ties`` returns the same point and only checks
+    each tied edge's other choice.
+
+    >>> round_chain([Fraction(1, 2)]).alpha
+    (0,)
+    >>> round_chain([Fraction(3, 2), Fraction(1, 2), Fraction(0)]).sum_sq
+    Fraction(1, 4)
     """
-    a = [Fraction(t) for t in targets]
-    m = len(a)
-    if m == 0:
-        raise DomainError("empty target vector")
-
-    def candidates(i: int, e_next: Fraction) -> list[int]:
-        lo, hi = a[i] + e_next - HALF, a[i] + e_next + HALF
-        if explore_ties:
-            return list(range(ceil(lo), floor(hi) + 1))
-        # half-open [lo, hi): the lower integer wins a boundary tie
-        return [ceil(lo)]
-
-    best: tuple[Fraction, list[int], list[Fraction]] | None = None
-    stack: list[tuple[list[int], list[Fraction]]] = [([], [])]
-    while stack:
-        alphas, es = stack.pop()
-        i = m - 1 - len(alphas)
-        if i < 0:
-            sum_sq = _residual_sum_sq(es)
-            if best is None or sum_sq < best[0]:
-                best = (sum_sq, alphas, es)
-            continue
-        e_next = es[0] if es else Fraction(0)
-        for cand in reversed(candidates(i, e_next)):
-            stack.append(([cand] + alphas, [cand - a[i]] + es))
-    assert best is not None
-    sum_sq, alphas, es = best
-    return RoundedPoint(tuple(alphas), tuple(es), sum_sq)
+    if den is None:
+        fracs = [Fraction(t) for t in targets]
+        den = lcm(*(f.denominator for f in fracs))
+        targets = [f.numerator * (den // f.denominator) for f in fracs]
+    if not targets or den < 1:
+        raise DomainError(f"need a non-empty target vector and den >= 1, got {den}")
+    return _round_scaled(targets, den, explore_ties)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +190,22 @@ def f_twist(bt: BoundaryType, n: FibralDivisor) -> Fraction:
     )
 
 
+def _single_nums(bt: BoundaryType) -> tuple[list[int], int]:
+    """Numerators N_i = (m-i)a - delta_i and denominator 2(d-1) of a_i."""
+    m, a, delta = bt.m, bt.a, bt.delta
+    return [(m - i) * a - delta[i] for i in range(m)], 2 * (bt.d - 1)
+
+
 def critical_n(bt: BoundaryType) -> tuple[Fraction, ...]:
     """Rational coordinates of the critical twist on R_0..R_{m-1}."""
-    d, m, a = bt.d, bt.m, bt.a
-    delta = bt.delta
-    return tuple(
-        Fraction((m - i) * a - delta[i], 2 * (d - 1)) for i in range(m)
-    )
+    nums, den = _single_nums(bt)
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
+    """Round the single-twist critical point to the lattice."""
+    nums, den = _single_nums(bt)
+    return round_chain(nums, explore_ties, den=den)
 
 
 def fmax_n(bt: BoundaryType) -> Fraction:
@@ -190,7 +225,7 @@ def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResu
     A + (d-1)N is checked to have non-negative coefficients with no fibre
     part left.
     """
-    point = round_chain(critical_n(bt), explore_ties)
+    point = single_round(bt, explore_ties)
     fmax = fmax_n(bt)
     f_alpha = fmax - Fraction(bt.d - 1, 2) * point.sum_sq
 
@@ -279,7 +314,7 @@ def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    point = round_chain(critical_n(bt))
+    point = single_round(bt)
     quad = single_quadratic(bt)
     boxes = [_radius_box(a, radius) for a in point.alpha]
     return quad.box_max(boxes) <= quad.value(point.alpha)
@@ -296,6 +331,20 @@ def _require_unit_part(bt: BoundaryType) -> None:
         )
 
 
+def _joint_nums(bt: BoundaryType) -> tuple[list[int], list[int], int]:
+    """X_i = (m-i)l - delta_i, the numerators N_i and the denominator D.
+
+    N_i = ((m-i)a - delta_i)(d-2) + X_i and D = 2(d-1)(d-2), so that
+    N_i/D = (g_i + x_i)/(d-1) is the critical N-coordinate.
+    """
+    _require_unit_part(bt)
+    d, m, a, l = bt.d, bt.m, bt.a, bt.l
+    delta = bt.delta
+    xs = [(m - i) * l - delta[i] for i in range(m)]
+    nums = [((m - i) * a - delta[i]) * (d - 2) + x for i, x in enumerate(xs)]
+    return xs, nums, 2 * (d - 1) * (d - 2)
+
+
 def joint_critical(
     bt: BoundaryType,
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -304,11 +353,10 @@ def joint_critical(
     x_i = ((m-i)l - delta_i)/(2(d-2)) and g_i = ((m-i)a - delta_i)/2 for
     i = 0..m-1, with l = b - j counted on the R_0 side.
     """
-    _require_unit_part(bt)
-    d, m, a, l = bt.d, bt.m, bt.a, bt.l
-    delta = bt.delta
-    x = tuple(Fraction((m - i) * l - delta[i], 2 * (d - 2)) for i in range(m))
-    g = tuple(Fraction((m - i) * a - delta[i], 2) for i in range(m))
+    xs, nums, _ = _joint_nums(bt)
+    den = 2 * (bt.d - 2)
+    x = tuple(Fraction(xi, den) for xi in xs)
+    g = tuple(Fraction(n - xi, den) for n, xi in zip(nums, xs))
     return x, g
 
 
@@ -355,37 +403,32 @@ def fmax_ln(bt: BoundaryType) -> Fraction:
 def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
     """Round the joint critical point to the lattice.
 
-    The N-coordinates a_i = (g_i + x_i)/(d-1) are rounded along the chain;
-    the parity rule e'_i = e_i (+ 1/2 when m - i is odd) then makes every
-    xi_i = x_i + e'_i an integer, because a_i - x_i is an integer or a
-    half-integer according to the parity of m - i.  Effectivity (xi >= 0)
-    is checked.
+    The N-coordinates N_i/D are rounded along the chain; the parity rule
+    e'_i = e_i (+ 1/2 when m - i is odd) then makes every xi_i = x_i + e'_i
+    an integer, because N_i/D - x_i is an integer or a half-integer
+    according to the parity of m - i.  Both facts and effectivity
+    (xi >= 0) are checked, in integers.
     """
-    _require_unit_part(bt)
-    d, m = bt.d, bt.m
-    x, g = joint_critical(bt)
-    targets = [Fraction(gi + xi, d - 1) for gi, xi in zip(g, x)]
+    xs, nums, den = _joint_nums(bt)
+    d, m, half = bt.d, bt.m, den // 2
 
     # the two critical blocks differ by (m-i)(a-l)/(2(d-1)), an odd multiple
     # of 1/2 exactly when m-i is odd
-    k, q = bt.params.k, bt.q
+    step = (2 * (bt.q - bt.params.k - 1) + 1) * half
     for i in range(m):
-        if targets[i] - x[i] != Fraction((m - i) * (2 * (q - k - 1) + 1), 2):
+        if nums[i] - (d - 1) * xs[i] != (m - i) * step:
             raise InvariantError(f"half-integrality relation fails at {bt}")
 
-    point = round_chain(targets, explore_ties)
-    eprime = tuple(
-        e if (m - i) % 2 == 0 else e + HALF for i, e in enumerate(point.e)
-    )
+    point = round_chain(nums, explore_ties, den=den)
     xi = []
-    for i in range(m):
-        val = x[i] + eprime[i]
-        if val.denominator != 1:
+    for i, (x, s) in enumerate(zip(xs, point.scaled)):
+        val, rem = divmod((d - 1) * x + s + (half if (m - i) % 2 else 0), den)
+        if rem:
             raise InvariantError(f"non-integral effective coordinate at {bt}")
         if val < 0:
             raise InvariantError(f"effectivity xi_{i} >= 0 fails at {bt}")
-        xi.append(int(val))
-    return replace(point, xi=tuple(xi), eprime=eprime)
+        xi.append(val)
+    return replace(point, xi=tuple(xi))
 
 
 def ferr_ln(bt: BoundaryType, sum_sq: Fraction) -> Fraction:

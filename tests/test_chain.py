@@ -12,7 +12,6 @@ from maroni.chain import (
     fibral,
     full_fibre,
     intersect,
-    normal_surface_numbers,
     shift_and_fibre_part,
     theta_dot,
     theta_representative,
@@ -28,6 +27,7 @@ from maroni.combinatorics import (
     make_boundary_type,
 )
 from maroni.errors import DomainError
+from normal_surface import normal_surface_numbers
 
 
 @st.composite

@@ -6,8 +6,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import maroni
 from maroni.cli import main
+from maroni.errors import ApplicabilityError, InvariantError
 
 
 def run_cli(*argv):
@@ -162,6 +165,31 @@ def test_verify_reports_failures_with_exit_one(monkeypatch):
     assert "[FAIL] synthetic check" in text
     assert "synthetic counterexample" in text
     assert "RESULT: FAIL" in text
+
+
+@pytest.mark.parametrize(
+    "target, variant, error, code, prefix",
+    [
+        ("joint_round", "corr2", InvariantError, 3,
+         "error: internal invariant failed: "),
+        # build_table skips types where the joint twist does not apply, so
+        # the single twist raises here
+        ("single_round", "corr1", ApplicabilityError, 2, "error: "),
+    ],
+)
+def test_library_errors_map_to_exit_codes(
+    monkeypatch, capsys, target, variant, error, code, prefix
+):
+    import maroni.lattice as lattice
+
+    def broken(bt, explore_ties=False):
+        raise error(f"synthetic defect at j={bt.j} mu={bt.mu}")
+
+    monkeypatch.setattr(lattice, target, broken)
+    assert main(["classes", "--d", "3", "--g", "2", "--variant", variant]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "synthetic defect at j=2")
+    assert "Traceback" not in err
 
 
 def run_module(*argv):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from maroni.chain import ChainModel, component, fibral, full_fibre, theta_representative
 from maroni.combinatorics import (
@@ -11,7 +11,7 @@ from maroni.combinatorics import (
     enumerate_boundary_types,
     make_boundary_type,
 )
-from maroni.errors import ApplicabilityError, DomainError
+from maroni.errors import ApplicabilityError, DomainError, InvariantError
 from maroni.lattice import (
     correction_ln,
     correction_n,
@@ -26,9 +26,11 @@ from maroni.lattice import (
     joint_round,
     round_chain,
     single_quadratic,
+    single_round,
     verify_integer_max,
     verify_joint_max,
 )
+from rounding_oracle import oracle_critical_n, oracle_joint_round, oracle_round
 
 HALF = Fraction(1, 2)
 
@@ -173,6 +175,82 @@ def test_round_chain_tie_exploration_agrees():
 def test_round_chain_rejects_empty():
     with pytest.raises(DomainError):
         round_chain([])
+    with pytest.raises(DomainError):
+        round_chain([1, 2], den=0)
+
+
+# differential tests of the integer pass against the Fraction search
+
+ORACLE_MAX_M = 120  # the oracle's list copies are O(m^2)
+ORACLE_MAX_TIES = 8  # its tie mode walks 2^ties branches
+
+
+def _fields(point, joint=False):
+    out = (point.alpha, point.e, point.sum_sq)
+    return out + (point.xi, point.eprime) if joint else out
+
+
+def _ties(point):
+    """Tied edges: the default choice leaves an edge residual of -1/2."""
+    chain = [*point.e, 0]
+    return sum(a - b == -HALF for a, b in zip(chain, chain[1:]))
+
+
+@st.composite
+def admissible_types(draw, max_d=30):
+    """A random admissible (d, k, j, mu), j on either side of b/2."""
+    d = draw(st.integers(min_value=3, max_value=max_d))
+    parts, left = [], d
+    while left:
+        parts.append(draw(st.integers(min_value=1, max_value=left)))
+        left -= parts[-1]
+    mu = Partition.of(*parts)
+    assume(mu.m <= ORACLE_MAX_M)
+    params = HurwitzParams(d, (d - 1) * draw(st.integers(min_value=1, max_value=3)))
+    parity = (d - mu.n) % 2
+    half_j = draw(st.integers(min_value=1, max_value=(params.b - 2 - parity) // 2))
+    return make_boundary_type(params, 2 * half_j + parity, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_types())
+def test_integer_rounding_matches_fraction_oracle(bt):
+    default = oracle_round(oracle_critical_n(bt))
+    for ties in (False, True):
+        want = default
+        if ties and _ties(default) <= ORACLE_MAX_TIES:
+            want = oracle_round(oracle_critical_n(bt), explore_ties=True)
+        assert _fields(single_round(bt, ties)) == _fields(want)
+    if not bt.mu.has_unit_part:
+        return
+    default = oracle_joint_round(bt)
+    for ties in (False, True):
+        if min(default.xi) < 0:
+            with pytest.raises(InvariantError):
+                joint_round(bt, ties)
+            continue
+        want = default
+        if ties and _ties(default) <= ORACLE_MAX_TIES:
+            want = oracle_joint_round(bt, explore_ties=True)
+        assert _fields(joint_round(bt, ties), joint=True) == _fields(want, joint=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=-20, max_value=20), st.sampled_from([1, 2, 4])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_round_chain_matches_oracle_with_ties(pairs):
+    # denominators 1, 2 and 4 put ties on many edges
+    targets = [Fraction(p, q) for p, q in pairs]
+    for ties in (False, True):
+        want = _fields(oracle_round(targets, ties))
+        assert _fields(round_chain(targets, ties)) == want
+        nums = [int(t * 4) for t in targets]
+        assert _fields(round_chain(nums, ties, den=4)) == want
 
 
 # ---------------------------------------------------------------------------
