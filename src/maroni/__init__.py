@@ -34,9 +34,7 @@ from .chain import (
     fibral,
     full_fibre,
     intersect,
-    shift_and_fibre_part,
     theta_dot,
-    we_divisor,
 )
 from .errors import ApplicabilityError, DomainError, InvariantError, ParityError
 from .formulas import (
@@ -58,7 +56,6 @@ from .lattice import (
     RoundedPoint,
     correction_ln,
     correction_n,
-    critical_n,
     f_twist,
     fmax_n,
     joint_critical,

@@ -11,6 +11,10 @@ coefficient vectors.  For D = sum e_i R_i the pairing satisfies the
 closed form D.D = -sum_{i=1}^m (e_{i-1} - e_i)^2, the full fibre
 F = sum R_i is numerically trivial, and the relative dualizing class
 theta pairs as theta.D = -e_0 - e_m.
+
+The engine needs only the degrees D.R_i, second differences of the
+coefficients (``component_degrees``: O(m), integers for integral D); the
+``Fraction`` matrix pairing ``intersect`` is kept as their reference.
 """
 
 from __future__ import annotations
@@ -81,10 +85,6 @@ def fibral(chain: ChainModel, coeffs) -> FibralDivisor:
     return FibralDivisor(chain, tuple(Fraction(c) for c in coeffs))
 
 
-def zero_divisor(chain: ChainModel) -> FibralDivisor:
-    return fibral(chain, [0] * (chain.m + 1))
-
-
 def full_fibre(chain: ChainModel) -> FibralDivisor:
     """F = R_0 + ... + R_m, numerically trivial on the chain."""
     return fibral(chain, [1] * (chain.m + 1))
@@ -92,17 +92,6 @@ def full_fibre(chain: ChainModel) -> FibralDivisor:
 
 def component(chain: ChainModel, i: int) -> FibralDivisor:
     return fibral(chain, [1 if t == i else 0 for t in range(chain.m + 1)])
-
-
-def theta_representative(chain: ChainModel) -> FibralDivisor:
-    """The fibre-supported part sum_{i<m} (m-i) R_i of the dualizing class.
-
-    The full representative is this divisor minus twice the section S; the
-    section term only matters when pairing against divisors with a nonzero
-    R_m coefficient.
-    """
-    m = chain.m
-    return fibral(chain, [m - i for i in range(m)] + [0])
 
 
 def _check_same_chain(d1: FibralDivisor, d2: FibralDivisor) -> None:
@@ -135,16 +124,15 @@ def theta_dot(d: FibralDivisor) -> Fraction:
     return -d.coeffs[0] - d.coeffs[-1]
 
 
-def shift_and_fibre_part(d: FibralDivisor) -> tuple[FibralDivisor, FibralDivisor]:
-    """The shift D_sh (maximum coefficient moved to 0) and the fibre part.
+def component_degrees(e) -> tuple:
+    """The degrees D.R_0, ..., D.R_m of D = sum e_i R_i (m >= 1).
 
-    D_sh subtracts max_i e_i from every coefficient; the fibre part is
-    (min_i e_i) . F and equals D + (-D)_sh.
+    Row i of the intersection matrix gives -e_0 + e_1 on R_0,
+    e_{i-1} - 2e_i + e_{i+1} on interior components and e_{m-1} - e_m on R_m.
     """
-    top = max(d.coeffs)
-    bottom = min(d.coeffs)
-    shifted = FibralDivisor(d.chain, tuple(e - top for e in d.coeffs))
-    return shifted, full_fibre(d.chain).scaled(bottom)
+    m = len(e) - 1
+    inner = (e[i - 1] - 2 * e[i] + e[i + 1] for i in range(1, m))
+    return (e[1] - e[0], *inner, e[m - 1] - e[m])
 
 
 @dataclass(frozen=True)
@@ -160,8 +148,12 @@ class StandardA:
 
     bt: BoundaryType
     alpha: tuple[int, ...]
-    divisor: FibralDivisor
     degrees: tuple[int, ...]
+
+    @property
+    def divisor(self) -> FibralDivisor:
+        """A = -sum_{i<m} alpha_i R_i as a Fraction divisor on the chain."""
+        return fibral(ChainModel(self.bt.m), [-a for a in self.alpha] + [0])
 
     @property
     def fibre_part_degree(self) -> Fraction:
@@ -191,10 +183,9 @@ def expected_twist_degrees(bt: BoundaryType) -> tuple[int, ...]:
 
 
 def a_standard(bt: BoundaryType) -> StandardA:
-    """Construct the standard divisor A with its integrality checks."""
+    """Build the standard divisor A, checking integrality and degrees."""
     m, c = bt.m, bt.c
     delta = bt.delta
-    chain = ChainModel(m)
     alpha = []
     for i in range(m):
         num = (m - i) * c - delta[i]
@@ -203,21 +194,8 @@ def a_standard(bt: BoundaryType) -> StandardA:
                 f"non-integral chain coefficient at i={i} for type {bt}"
             )
         alpha.append(num // 2)
-    divisor = fibral(chain, [-a for a in alpha] + [0])
-    degrees = tuple(
-        int(intersect(divisor, component(chain, i))) for i in range(m + 1)
-    )
+    degrees = component_degrees([-a for a in alpha] + [0])
     if degrees != expected_twist_degrees(bt):
         raise InvariantError(f"restriction degrees of A are off for {bt}")
-    return StandardA(bt, tuple(alpha), divisor, degrees)
+    return StandardA(bt, tuple(alpha), degrees)
 
-
-def we_divisor(bt: BoundaryType) -> tuple[FibralDivisor, Fraction]:
-    """The exceptional branch divisor sum delta_i R_i and its square.
-
-    The square is returned in the closed form -sum (delta_i - delta_{i-1})^2,
-    which agrees with the matrix pairing.
-    """
-    chain = ChainModel(bt.m)
-    w = fibral(chain, bt.delta)
-    return w, Fraction(-bt.delta_square_sum)

@@ -184,6 +184,10 @@ class BoundaryType:
     rprime: int
     cprime: int
 
+    def __str__(self) -> str:
+        """The short label messages name a type by: d=4 g=3 j=4 mu=(3|1)."""
+        return f"d={self.d} g={self.params.g} j={self.j} mu={self.mu}"
+
     @property
     def d(self) -> int:
         return self.params.d

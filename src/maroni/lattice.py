@@ -42,10 +42,13 @@ D = 2(d-1)(d-2); the parity shift e'_i = E_i/D (+ 1/2 when m-i is odd)
 makes xi_i = x_i + e'_i = ((d-1)X_i + E_i + [m-i odd] D/2)/D an integer.
 
 Everything here is exact.  Each functional also has one integer form, a
-``ChainQuadratic`` (node terms, edge terms, pinned end state), whose exact
-chain dynamic program maximizes it over a radius box as an independent
-oracle; the naive product scan over the same box is kept as the test
-reference for that dynamic program.
+``ChainQuadratic`` (node terms, edge terms, pinned end state) built from
+the integer degrees A.R_i and W.R_i.  Its evaluator checks the value of
+every correction, and its exact chain dynamic program maximizes it over a
+radius box as an independent oracle.  The naive product scan over the same
+box is the test reference for that program; ``f_twist`` and
+``joint_f_value``, built on the ``Fraction`` pairing, are the reference
+for the integer forms.
 """
 
 from __future__ import annotations
@@ -60,11 +63,10 @@ from .chain import (
     ChainModel,
     FibralDivisor,
     a_standard,
-    component,
+    component_degrees,
     fibral,
     full_fibre,
     intersect,
-    shift_and_fibre_part,
     theta_dot,
 )
 from .combinatorics import BoundaryType
@@ -168,21 +170,14 @@ def round_chain(
 # single twist (line bundle N only)
 
 
-def _normalized(bt: BoundaryType, n: FibralDivisor) -> FibralDivisor:
-    """Subtract the fibre multiple so the R_m coefficient becomes 0."""
-    last = n.coeffs[-1]
-    if last == 0:
-        return n
-    return n - full_fibre(n.chain).scaled(last)
-
-
 def f_twist(bt: BoundaryType, n: FibralDivisor) -> Fraction:
     """The coefficient change f(N) = N.A + ((d-1)/2)(N.N - N.theta).
 
     Fibre multiples are normalized away first, so adding a full fibre to N
-    does not change the value.
+    does not change the value.  Evaluated from the matrix pairing, as the
+    reference for ``single_quadratic``.
     """
-    n = _normalized(bt, n)
+    n = n - full_fibre(n.chain).scaled(n.coeffs[-1])  # R_m coefficient 0
     a_div = a_standard(bt).divisor
     d = bt.d
     return intersect(n, a_div) + Fraction(d - 1, 2) * (
@@ -194,12 +189,6 @@ def _single_nums(bt: BoundaryType) -> tuple[list[int], int]:
     """Numerators N_i = (m-i)a - delta_i and denominator 2(d-1) of a_i."""
     m, a, delta = bt.m, bt.a, bt.delta
     return [(m - i) * a - delta[i] for i in range(m)], 2 * (bt.d - 1)
-
-
-def critical_n(bt: BoundaryType) -> tuple[Fraction, ...]:
-    """Rational coordinates of the critical twist on R_0..R_{m-1}."""
-    nums, den = _single_nums(bt)
-    return tuple(Fraction(n, den) for n in nums)
 
 
 def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
@@ -220,27 +209,21 @@ def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResu
     """The reduction of the standard coefficient by the best single twist.
 
     delta = f(alpha) + (f_A - f_{A+(d-1)N}); the second term is -mc/2 when
-    c > 0 and 0 otherwise.  The rounded point is checked against the
-    functional evaluated from the chain pairings, and the divisor
-    A + (d-1)N is checked to have non-negative coefficients with no fibre
+    c > 0 and 0 otherwise.  The closed-form value is checked in integers
+    against ``single_quadratic``, and A + (d-1)N against having
+    non-negative coefficients.  Its R_m coefficient is 0 by construction
+    (both A and N vanish there), so an effective A + (d-1)N has no fibre
     part left.
     """
     point = single_round(bt, explore_ties)
     fmax = fmax_n(bt)
     f_alpha = fmax - Fraction(bt.d - 1, 2) * point.sum_sq
-
-    std = a_standard(bt)
-    chain = std.divisor.chain
-    n_div = fibral(chain, [*point.alpha, 0])
-    if f_twist(bt, n_div) != f_alpha:
+    if single_quadratic(bt).value(point.alpha) != 2 * f_alpha:
         raise InvariantError(f"rounded value mismatch at {bt}")
 
-    twisted = std.divisor + n_div.scaled(bt.d - 1)
-    if min(twisted.coeffs) < 0 or twisted.coeffs[-1] != 0:
+    std = a_standard(bt)
+    if min((bt.d - 1) * n - a for n, a in zip(point.alpha, std.alpha)) < 0:
         raise InvariantError(f"twisted divisor not effective at {bt}")
-    _, fibre_part = shift_and_fibre_part(twisted)
-    if any(fibre_part.coeffs):
-        raise InvariantError(f"twisted divisor has a fibre part at {bt}")
 
     delta = f_alpha + std.fibre_part_degree
     if delta < 0:
@@ -374,7 +357,7 @@ def branch_functional_divisor(bt: BoundaryType) -> FibralDivisor:
 
 
 def joint_f_value(bt: BoundaryType, nvec, xvec) -> Fraction:
-    """Evaluate the joint functional from the chain pairings directly."""
+    """The joint functional from the matrix pairing: the tests' reference."""
     d = bt.d
     chain = ChainModel(bt.m)
     n_div = fibral(chain, list(nvec) + [0])
@@ -440,25 +423,22 @@ def correction_ln(bt: BoundaryType, explore_ties: bool = False) -> CorrectionRes
     """The reduction of the standard coefficient by the best joint twist.
 
     delta = f_max + f_err + (f_A - f_{A+G}) with the fibre term -mc/2 for
-    c > 0 and 0 otherwise.  The closed form is cross-checked against the
-    direct evaluation of the functional at the rounded point, and A + G is
-    checked to be effective with no fibre part.
+    c > 0 and 0 otherwise.  The closed form is checked in integers against
+    ``joint_quadratic`` at the rounded point, and A + G = A + (d-1)N - X
+    against having non-negative coefficients; as for the single twist its
+    R_m coefficient is 0 by construction, so no fibre part is left.
     """
     point = joint_round(bt, explore_ties)
     fmax = fmax_ln(bt)
     value = fmax + ferr_ln(bt, point.sum_sq)
-
-    if joint_f_value(bt, point.alpha, point.xi) != value:
+    assert point.xi is not None
+    states = zip(point.alpha, point.xi)
+    if joint_quadratic(bt).value(states) != 2 * (bt.d - 1) * value:
         raise InvariantError(f"joint rounded value mismatch at {bt}")
 
     std = a_standard(bt)
-    chain = std.divisor.chain
-    assert point.xi is not None
-    g_div = fibral(chain, [*point.alpha, 0]).scaled(bt.d - 1) - fibral(
-        chain, [*point.xi, 0]
-    )
-    twisted = std.divisor + g_div
-    if min(twisted.coeffs) < 0 or twisted.coeffs[-1] != 0:
+    twist = zip(point.alpha, point.xi, std.alpha)
+    if min((bt.d - 1) * n - x - a for n, x, a in twist) < 0:
         raise InvariantError(f"A + G not effective at {bt}")
 
     delta = value + std.fibre_part_degree
@@ -473,12 +453,11 @@ def joint_quadratic(bt: BoundaryType) -> ChainQuadratic:
     """2(d-1) f(Z, N) on integer states (n_i, x_i), R_m pinned to (0, 0).
 
     With g = (d-1)n - x this is (d-2) X.X + W.X + G.G + (d-1) g_0 + 2 G.A,
-    the pairings read off the rows W.R_i and A.R_i.
+    the pairings read off the integer rows W.R_i (W = -sum X_i R_i) and A.R_i.
     """
-    m, d = bt.m, bt.d
-    chain = ChainModel(m)
-    w_div = branch_functional_divisor(bt)
-    w_rows = [int(intersect(w_div, component(chain, i))) for i in range(m)]
+    d = bt.d
+    xs, _, _ = _joint_nums(bt)
+    w_rows = component_degrees([-x for x in xs] + [0])
     v_rows = a_standard(bt).degrees
 
     def node(i: int, s: tuple[int, int]) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, lattice
-from .chain import ChainModel, a_standard, fibral, intersect
+from .chain import ChainModel, a_standard, component, fibral, intersect
 from .combinatorics import (
     HurwitzParams,
     Partition,
@@ -162,10 +162,10 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             res1 = lattice.correction_n(bt)
             corr1_id.count()
             if formulas.sigma_corr1(bt) != formulas.sigma_st(bt) - res1.delta:
-                corr1_id.fail(f"{params} j={bt.j} mu={bt.mu}")
+                corr1_id.fail(str(bt))
             nonneg.count()
             if res1.delta < 0 or Fraction(bt.m, 4) - res1.sum_sq < 0:
-                nonneg.fail(f"single twist at {params} j={bt.j} mu={bt.mu}")
+                nonneg.fail(f"single twist at {bt}")
             try:
                 res2 = lattice.correction_ln(bt)
             except ApplicabilityError:
@@ -173,10 +173,10 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             if res2 is not None:
                 corr2_id.count()
                 if formulas.sigma_corr2(bt) != formulas.sigma_st(bt) - res2.delta:
-                    corr2_id.fail(f"{params} j={bt.j} mu={bt.mu}")
+                    corr2_id.fail(str(bt))
                 nonneg.count()
                 if res2.delta < 0:
-                    nonneg.fail(f"joint twist at {params} j={bt.j} mu={bt.mu}")
+                    nonneg.fail(f"joint twist at {bt}")
 
             flip = bt.flipped()
             symmetry.count()
@@ -186,26 +186,30 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
                 or formulas.lambda_coeff(bt) != formulas.lambda_coeff(flip)
                 or formulas.psi_coeff(bt) != formulas.psi_coeff(flip)
             ):
-                symmetry.fail(f"{params} j={bt.j} mu={bt.mu}")
+                symmetry.fail(str(bt))
 
             cvc.count()
             if abs(bt.c) * (abs(bt.c) - 2 * (bt.d - 1)) != abs(bt.cprime) * (
                 abs(bt.cprime) - 2 * (bt.d - 1)
             ):
-                cvc.fail(f"{params} j={bt.j} mu={bt.mu}")
+                cvc.fail(str(bt))
 
             degrees.count()
-            a_standard(bt)  # raises InvariantError on any defect
+            std = a_standard(bt)  # raises InvariantError on any defect
+            a_div = std.divisor
+            if any(intersect(a_div, component(a_div.chain, i)) != deg
+                   for i, deg in enumerate(std.degrees)):
+                degrees.fail(f"{bt}: A.R_i differ from the matrix pairing")
 
             if explore_ties:
                 tie_agree.count()
                 if lattice.correction_n(bt, explore_ties=True).delta != res1.delta:
-                    tie_agree.fail(f"single twist at {params} j={bt.j} mu={bt.mu}")
+                    tie_agree.fail(f"single twist at {bt}")
                 if res2 is not None and (
                     lattice.correction_ln(bt, explore_ties=True).delta
                     != res2.delta
                 ):
-                    tie_agree.fail(f"joint twist at {params} j={bt.j} mu={bt.mu}")
+                    tie_agree.fail(f"joint twist at {bt}")
 
     results = [corr1_id, corr2_id, nonneg, symmetry, cvc, degrees]
     if explore_ties:
@@ -241,12 +245,12 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3,
                     continue
                 single.count()
                 if not lattice.verify_integer_max(bt, radius):
-                    single.fail(f"{params} j={bt.j} mu={bt.mu}")
+                    single.fail(str(bt))
                 effective.count()
                 lattice.correction_n(bt)  # raises on any effectivity defect
                 try:
                     if not lattice.verify_joint_max(bt, radius):
-                        joint.fail(f"{params} j={bt.j} mu={bt.mu}")
+                        joint.fail(str(bt))
                     joint.count()
                     effective.count()
                     lattice.correction_ln(bt)
@@ -255,7 +259,7 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3,
                 if d == 3 and bt.mu.parts == (1, 1, 1):
                     nodal.count()
                     if not lattice.verify_trigonal_nodal_max(bt, radius):
-                        nodal.fail(f"{params} j={bt.j} mu={bt.mu}")
+                        nodal.fail(str(bt))
     return [single, joint, effective, nodal]
 
 

@@ -2,21 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from chain_divisors import (
+    shift_and_fibre_part,
+    theta_representative,
+    we_divisor,
+    zero_divisor,
+)
 from maroni.chain import (
     ChainModel,
     a_standard,
     component,
+    component_degrees,
     expected_twist_degrees,
     fibral,
     full_fibre,
     intersect,
-    shift_and_fibre_part,
     theta_dot,
-    theta_representative,
-    we_divisor,
-    zero_divisor,
 )
 from maroni.combinatorics import (
     HurwitzParams,
@@ -89,6 +92,13 @@ def test_square_closed_form(d):
     e = d.coeffs
     closed = -sum((a - b) ** 2 for a, b in zip(e, e[1:]))
     assert intersect(d, d) == closed
+
+
+@example(fibral(ChainModel(1), [Fraction(1, 3), 2]))  # m = 1: no interior row
+@given(divisors())
+def test_component_degrees_match_matrix_pairing(d):
+    expected = [intersect(d, component(d.chain, i)) for i in range(d.chain.m + 1)]
+    assert list(component_degrees(d.coeffs)) == expected
 
 
 def test_length_mismatch_rejected():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -153,6 +154,17 @@ def test_verify_fails_checks_that_cover_no_cases():
                 assert line.startswith("[FAIL] ")
 
 
+def test_verify_degree_check_compares_matrix_pairing(monkeypatch):
+    import maroni.verify as verify
+
+    monkeypatch.setattr(verify, "intersect", lambda d1, d2: 0)
+    code, text = run_cli("verify", "--suite", "identities",
+                         "--max-d", "4", "--max-g", "6")
+    assert code == 1
+    assert "[FAIL] standard A integral with degree checks" in text
+    assert "A.R_i differ from the matrix pairing" in text
+
+
 def test_verify_reports_failures_with_exit_one(monkeypatch):
     import maroni.cli as cli
     from maroni.verify import CheckResult
@@ -183,12 +195,14 @@ def test_library_errors_map_to_exit_codes(
     import maroni.lattice as lattice
 
     def broken(bt, explore_ties=False):
-        raise error(f"synthetic defect at j={bt.j} mu={bt.mu}")
+        raise error(f"synthetic defect at {bt}")
 
     monkeypatch.setattr(lattice, target, broken)
     assert main(["classes", "--d", "3", "--g", "2", "--variant", variant]) == code
     err = capsys.readouterr().err
-    assert err.startswith(prefix + "synthetic defect at j=2")
+    # the type is named by its short label, not the dataclass repr
+    label = r"d=3 g=2 j=2 mu=\((3|1\|1\|1)\)"
+    assert re.fullmatch(re.escape(prefix + "synthetic defect at ") + label + "\n", err)
     assert "Traceback" not in err
 
 

@@ -61,7 +61,8 @@ def test_sigma_st_assembles_from_chain_pieces():
     """
     from fractions import Fraction as F
 
-    from maroni.chain import a_standard, intersect, shift_and_fibre_part, theta_dot, we_divisor
+    from chain_divisors import shift_and_fibre_part, we_divisor
+    from maroni.chain import a_standard, intersect, theta_dot
 
     for d, g in [(3, 2), (3, 6), (4, 3), (4, 9), (5, 4), (6, 10)]:
         for bt in enumerate_boundary_types(HurwitzParams(d, g)):

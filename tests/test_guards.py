@@ -1,0 +1,55 @@
+"""Guards for two rules that every change to the engine must keep.
+
+1. Both benchmark commands print exactly their golden output.  The argv
+   and the golden files are read from ``perfbench/``, never written.
+2. The engine runs in integers: the ``Fraction`` matrix pairing
+   ``intersect`` is only the reference that tests and ``verify`` compare
+   with, so no engine path may call it.
+"""
+
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+import maroni.chain as chain
+import maroni.lattice as lattice
+from maroni import formulas
+from maroni.cli import main
+from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
+
+WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+)["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_command_prints_its_golden_output(name):
+    workload = WORKLOADS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(workload.argv))
+    assert code == 0
+    assert out.getvalue() == workload.golden()
+
+
+def test_engine_never_calls_the_matrix_pairing(monkeypatch):
+    def forbidden(d1, d2):
+        raise AssertionError("the engine called the Fraction matrix pairing")
+
+    monkeypatch.setattr(chain, "intersect", forbidden)
+    monkeypatch.setattr(lattice, "intersect", forbidden)
+    for d in range(3, 6):
+        for k in (1, 2):
+            params = HurwitzParams(d, (d - 1) * k)
+            assert formulas.build_table(params, "min").rows
+            for bt in enumerate_boundary_types(params):
+                joint = bt.mu.has_unit_part
+                for explore_ties in (False, True):
+                    lattice.correction_n(bt, explore_ties)
+                    if joint:
+                        lattice.correction_ln(bt, explore_ties)
+                assert lattice.verify_integer_max(bt)
+                assert not joint or lattice.verify_joint_max(bt)

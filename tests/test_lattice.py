@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from maroni.chain import ChainModel, component, fibral, full_fibre, theta_representative
+from chain_divisors import theta_representative
+from maroni.chain import ChainModel, component, fibral, full_fibre
 from maroni.combinatorics import (
     HurwitzParams,
     Partition,
@@ -15,7 +16,6 @@ from maroni.errors import ApplicabilityError, DomainError, InvariantError
 from maroni.lattice import (
     correction_ln,
     correction_n,
-    critical_n,
     f_twist,
     ferr_ln,
     fmax_ln,
@@ -88,14 +88,14 @@ def test_f_invariant_under_fibre_shift(seed, q):
 
 
 def test_critical_point_examples():
-    assert critical_n(bt_of(3, 4, 4, (3,))) == (
+    assert oracle_critical_n(bt_of(3, 4, 4, (3,))) == [
         Fraction(3, 2), HALF, Fraction(0),
-    )
+    ]
     bt = bt_of(3, 2, 4, (1, 1, 1))  # m = 1, delta = 0
-    assert critical_n(bt) == (Fraction(bt.a, 4),)
-    assert critical_n(bt_of(4, 3, 5, (4,))) == (
+    assert oracle_critical_n(bt) == [Fraction(bt.a, 4)]
+    assert oracle_critical_n(bt_of(4, 3, 5, (4,))) == [
         Fraction(8, 3), Fraction(3, 2), Fraction(1), Fraction(1, 6),
-    )
+    ]
 
 
 def test_fmax_examples():
@@ -110,8 +110,8 @@ def test_fmax_examples():
 
 def test_fmax_equals_f_at_critical_point():
     for bt in small_types():
-        crit = critical_n(bt)
-        n = fibral(ChainModel(bt.m), list(crit) + [0])
+        crit = oracle_critical_n(bt)
+        n = fibral(ChainModel(bt.m), crit + [0])
         assert f_twist(bt, n) == fmax_n(bt)
 
 
@@ -123,7 +123,7 @@ def test_fmax_bounds_f_near_critical_point():
     for bt in small_types(max_d=4):
         if bt.m > 3:
             continue
-        crit = critical_n(bt)
+        crit = oracle_critical_n(bt)
         chain = ChainModel(bt.m)
         centers = [round(t) for t in crit]
         fmax = fmax_n(bt)
@@ -301,7 +301,7 @@ def test_integer_max_methods_agree():
     for bt in small_types(max_d=5):
         if bt.m > 4:
             continue
-        alpha = round_chain(critical_n(bt)).alpha
+        alpha = round_chain(oracle_critical_n(bt)).alpha
         quad = single_quadratic(bt)
         for radius in range(3):
             boxes = [_box(a, radius) for a in alpha]
@@ -476,6 +476,42 @@ def test_joint_quadratic_matches_pairing_functional():
             assert quad.value(zip(nvec, xvec)) == (
                 2 * (bt.d - 1) * joint_f_value(bt, nvec, xvec)
             )
+
+
+# a unit-part type, so that both corrections apply
+CHECKED_TYPE = (3, 4, 4, (1, 1, 1))
+
+
+@pytest.mark.parametrize("target, correction",
+                         [("fmax_n", correction_n), ("fmax_ln", correction_ln)])
+def test_correction_value_check_fires(monkeypatch, target, correction):
+    # a closed form off by 1/2 disagrees with the integer quadratic
+    import maroni.lattice as lattice
+
+    closed_form = getattr(lattice, target)
+    monkeypatch.setattr(lattice, target, lambda bt: closed_form(bt) + HALF)
+    with pytest.raises(InvariantError,
+                       match=r"value mismatch at d=3 g=4 j=4 mu=\(1\|1\|1\)"):
+        correction(bt_of(*CHECKED_TYPE))
+
+
+@pytest.mark.parametrize("correction", [correction_n, correction_ln])
+def test_correction_effectivity_check_fires(monkeypatch, correction):
+    # raising A's chain coefficients alpha (A = -sum alpha_i R_i) leaves its
+    # degrees, and so the value check, alone but makes A + G non-effective
+    from dataclasses import replace
+
+    import maroni.lattice as lattice
+
+    standard = lattice.a_standard
+
+    def raised(bt):
+        std = standard(bt)
+        return replace(std, alpha=tuple(a + 100 for a in std.alpha))
+
+    monkeypatch.setattr(lattice, "a_standard", raised)
+    with pytest.raises(InvariantError, match="not effective"):
+        correction(bt_of(*CHECKED_TYPE))
 
 
 def test_nodal_ray_forms():
