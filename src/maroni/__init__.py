@@ -58,7 +58,6 @@ from .lattice import (
     correction_n,
     f_twist,
     fmax_n,
-    joint_critical,
     joint_round,
     nodal_f1,
     round_chain,

@@ -49,6 +49,13 @@ radius box as an independent oracle.  The naive product scan over the same
 box is the test reference for that program; ``f_twist`` and
 ``joint_f_value``, built on the ``Fraction`` pairing, are the reference
 for the integer forms.
+
+Scales.  Each correction is an integer over one scale, with S = D^2 sum_sq:
+8(d-1) f(alpha) = 8(d-1) f_max - S = 4(d-1) value(alpha) for the single
+twist, 8(d-1)^2(d-2) f = 8(d-1)^2(d-2) f_max - S - m(d-1)^2(d-2) =
+4(d-1)(d-2) value for the joint one; only reported fields are Fractions.
+The one-node trigonal oracle scans an integer form of 4 f1, proved equal
+to ``nodal_f1`` at the 15 points that fix a quadratic in four variables.
 """
 
 from __future__ import annotations
@@ -96,10 +103,14 @@ class RoundedPoint:
         return tuple(Fraction(s, self.den) for s in self.scaled)
 
     @property
-    def sum_sq(self) -> Fraction:
+    def scaled_sum_sq(self) -> int:
+        """S = den^2 sum_sq = sum_{i=1}^m (E_{i-1} - E_i)^2, an integer."""
         s = self.scaled
-        steps = sum((p - q) ** 2 for p, q in itertools.pairwise(s))
-        return Fraction(steps + s[-1] ** 2, self.den**2)
+        return sum((p - q) ** 2 for p, q in itertools.pairwise(s)) + s[-1] ** 2
+
+    @property
+    def sum_sq(self) -> Fraction:
+        return Fraction(self.scaled_sum_sq, self.den**2)
 
     @property
     def eprime(self) -> tuple[Fraction, ...] | None:
@@ -194,45 +205,49 @@ def _single_nums(bt: BoundaryType) -> tuple[list[int], int]:
 def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
     """Round the single-twist critical point to the lattice."""
     nums, den = _single_nums(bt)
-    return round_chain(nums, explore_ties, den=den)
+    try:
+        return round_chain(nums, explore_ties, den=den)
+    except InvariantError as err:
+        raise InvariantError(f"{err} at {bt}") from err
 
 
 def fmax_n(bt: BoundaryType) -> Fraction:
-    """Closed form of the critical value of the single-twist functional."""
-    d, m, c = bt.d, bt.m, bt.c
-    return m * (
-        Fraction(c * c, 8 * (d - 1)) + Fraction(c, 4) + Fraction(d - 1, 8)
-    ) + Fraction(bt.delta_square_sum, 8 * (d - 1))
+    """Single-twist critical value (m a^2 + sum of delta steps^2)/(8(d-1))."""
+    return Fraction(bt.m * bt.a**2 + bt.delta_square_sum, 8 * (bt.d - 1))
+
+
+def _result(bt, point, std, fmax, f_num: int, scale: int, label: str):
+    """The correction f + f_A from f = f_num/scale; it must be >= 0."""
+    fibre = std.fibre_part_degree
+    delta_num = f_num + fibre.numerator * scale // fibre.denominator
+    if delta_num < 0:
+        raise InvariantError(f"negative {label} {Fraction(delta_num, scale)} at {bt}")
+    point = replace(point, value=Fraction(f_num, scale))
+    return CorrectionResult(bt, Fraction(delta_num, scale), point, fmax, point.sum_sq)
 
 
 def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResult:
     """The reduction of the standard coefficient by the best single twist.
 
     delta = f(alpha) + (f_A - f_{A+(d-1)N}); the second term is -mc/2 when
-    c > 0 and 0 otherwise.  The closed-form value is checked in integers
-    against ``single_quadratic``, and A + (d-1)N against having
-    non-negative coefficients.  Its R_m coefficient is 0 by construction
-    (both A and N vanish there), so an effective A + (d-1)N has no fibre
-    part left.
+    c > 0 and 0 otherwise.  Over the scale 8(d-1) (module docstring) the
+    closed-form value is checked against ``single_quadratic``, and
+    A + (d-1)N against having non-negative coefficients.  Its R_m
+    coefficient is 0 by construction (both A and N vanish there), so an
+    effective A + (d-1)N has no fibre part left.
     """
     point = single_round(bt, explore_ties)
-    fmax = fmax_n(bt)
-    f_alpha = fmax - Fraction(bt.d - 1, 2) * point.sum_sq
-    if single_quadratic(bt).value(point.alpha) != 2 * f_alpha:
-        raise InvariantError(f"rounded value mismatch at {bt}")
-
     std = a_standard(bt)
-    if min((bt.d - 1) * n - a for n, a in zip(point.alpha, std.alpha)) < 0:
+    dm1, s, fmax = bt.d - 1, point.scaled_sum_sq, fmax_n(bt)
+    scale = 8 * dm1
+    f_num = _single_form(bt, std.degrees).value(point.alpha) * 4 * dm1
+    if (f_num + s) * fmax.denominator != fmax.numerator * scale:
+        raise InvariantError(f"rounded value mismatch at {bt}")
+    if min(dm1 * n - a for n, a in zip(point.alpha, std.alpha)) < 0:
         raise InvariantError(f"twisted divisor not effective at {bt}")
-
-    delta = f_alpha + std.fibre_part_degree
-    if delta < 0:
-        raise InvariantError(f"negative correction {delta} at {bt}")
-    if Fraction(bt.m, 4) - point.sum_sq < 0:
+    if bt.m * point.den**2 < 4 * s:
         raise InvariantError(f"residual bound violated at {bt}")
-    return CorrectionResult(
-        bt, delta, replace(point, value=f_alpha), fmax, point.sum_sq
-    )
+    return _result(bt, point, std, fmax, f_num, scale, "correction")
 
 
 @dataclass(frozen=True)
@@ -266,9 +281,14 @@ class ChainQuadratic:
             }
         return max(v + self.edge(sp, self.end) for sp, v in scores.items())
 
-    def scan_max(self, boxes) -> int:
-        """The same maximum by enumerating the box point by point."""
-        return max(self.value(states) for states in itertools.product(*boxes))
+
+def _single_form(bt: BoundaryType, degrees) -> ChainQuadratic:
+    dm1 = bt.d - 1
+    return ChainQuadratic(
+        node=lambda i, x: 2 * x * degrees[i] + (dm1 * x if i == 0 else 0),
+        edge=lambda xp, x: -dm1 * (xp - x) ** 2,
+        end=0,
+    )
 
 
 def single_quadratic(bt: BoundaryType) -> ChainQuadratic:
@@ -277,12 +297,7 @@ def single_quadratic(bt: BoundaryType) -> ChainQuadratic:
     2 f(N) = 2 N.A + (d-1)(N.N - N.theta), with N.A = sum x_i (A.R_i),
     N.N = -sum (x_{i-1} - x_i)^2 and N.theta = -x_0.
     """
-    degrees, dm1 = a_standard(bt).degrees, bt.d - 1
-    return ChainQuadratic(
-        node=lambda i, x: 2 * x * degrees[i] + (dm1 * x if i == 0 else 0),
-        edge=lambda xp, x: -dm1 * (xp - x) ** 2,
-        end=0,
-    )
+    return _single_form(bt, a_standard(bt).degrees)
 
 
 def _radius_box(center: int, radius: int) -> range:
@@ -328,21 +343,6 @@ def _joint_nums(bt: BoundaryType) -> tuple[list[int], list[int], int]:
     return xs, nums, 2 * (d - 1) * (d - 2)
 
 
-def joint_critical(
-    bt: BoundaryType,
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Critical coordinates (x, g) of the joint functional.
-
-    x_i = ((m-i)l - delta_i)/(2(d-2)) and g_i = ((m-i)a - delta_i)/2 for
-    i = 0..m-1, with l = b - j counted on the R_0 side.
-    """
-    xs, nums, _ = _joint_nums(bt)
-    den = 2 * (bt.d - 2)
-    x = tuple(Fraction(xi, den) for xi in xs)
-    g = tuple(Fraction(n - xi, den) for n, xi in zip(nums, xs))
-    return x, g
-
-
 def branch_functional_divisor(bt: BoundaryType) -> FibralDivisor:
     """The fibral divisor pairing like the branch class on R_0..R_{m-1}.
 
@@ -375,12 +375,11 @@ def joint_f_value(bt: BoundaryType, nvec, xvec) -> Fraction:
 
 
 def fmax_ln(bt: BoundaryType) -> Fraction:
-    """Closed form of the critical value of the joint functional."""
+    """Joint critical value, one Fraction over 8(d-1)(d-2)."""
     _require_unit_part(bt)
     d, m, a, l = bt.d, bt.m, bt.a, bt.l
-    return Fraction(m, 8 * (d - 1) * (d - 2)) * (
-        l * l + (d - 2) * a * a
-    ) + Fraction(bt.delta_square_sum, 8 * (d - 2))
+    return Fraction(m * (l * l + (d - 2) * a * a) + (d - 1) * bt.delta_square_sum,
+                    8 * (d - 1) * (d - 2))
 
 
 def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
@@ -402,7 +401,10 @@ def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
         if nums[i] - (d - 1) * xs[i] != (m - i) * step:
             raise InvariantError(f"half-integrality relation fails at {bt}")
 
-    point = round_chain(nums, explore_ties, den=den)
+    try:
+        point = round_chain(nums, explore_ties, den=den)
+    except InvariantError as err:
+        raise InvariantError(f"{err} at {bt}") from err
     xi = []
     for i, (x, s) in enumerate(zip(xs, point.scaled)):
         val, rem = divmod((d - 1) * x + s + (half if (m - i) % 2 else 0), den)
@@ -414,56 +416,41 @@ def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
     return replace(point, xi=tuple(xi))
 
 
-def ferr_ln(bt: BoundaryType, sum_sq: Fraction) -> Fraction:
-    """The rounding defect -((d-2)/2) sum (e_{i-1}-e_i)^2 - m/8."""
-    return -Fraction(bt.d - 2, 2) * sum_sq - Fraction(bt.m, 8)
-
-
 def correction_ln(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResult:
     """The reduction of the standard coefficient by the best joint twist.
 
-    delta = f_max + f_err + (f_A - f_{A+G}) with the fibre term -mc/2 for
-    c > 0 and 0 otherwise.  The closed form is checked in integers against
-    ``joint_quadratic`` at the rounded point, and A + G = A + (d-1)N - X
-    against having non-negative coefficients; as for the single twist its
-    R_m coefficient is 0 by construction, so no fibre part is left.
+    delta = f_max + f_err + (f_A - f_{A+G}), f_err = -((d-2)/2) sum_sq - m/8,
+    with the fibre term -mc/2 for c > 0 and 0 otherwise.  Over the scale
+    8(d-1)^2(d-2) the closed form is checked against ``joint_quadratic`` at
+    the rounded point, and A + G = A + (d-1)N - X against having
+    non-negative coefficients; as for the single twist its R_m coefficient
+    is 0 by construction, so no fibre part is left.
     """
     point = joint_round(bt, explore_ties)
-    fmax = fmax_ln(bt)
-    value = fmax + ferr_ln(bt, point.sum_sq)
-    assert point.xi is not None
-    states = zip(point.alpha, point.xi)
-    if joint_quadratic(bt).value(states) != 2 * (bt.d - 1) * value:
-        raise InvariantError(f"joint rounded value mismatch at {bt}")
-
     std = a_standard(bt)
+    assert point.xi is not None
+    d, fmax = bt.d, fmax_ln(bt)
+    scale = 8 * (d - 1) ** 2 * (d - 2)
+    states = zip(point.alpha, point.xi)
+    f_num = _joint_form(bt, std.degrees).value(states) * 4 * (d - 1) * (d - 2)
+    defect = point.scaled_sum_sq + bt.m * scale // 8  # S + m (d-1)^2 (d-2)
+    if (f_num + defect) * fmax.denominator != fmax.numerator * scale:
+        raise InvariantError(f"joint rounded value mismatch at {bt}")
     twist = zip(point.alpha, point.xi, std.alpha)
-    if min((bt.d - 1) * n - x - a for n, x, a in twist) < 0:
+    if min((d - 1) * n - x - a for n, x, a in twist) < 0:
         raise InvariantError(f"A + G not effective at {bt}")
-
-    delta = value + std.fibre_part_degree
-    if delta < 0:
-        raise InvariantError(f"negative joint correction {delta} at {bt}")
-    return CorrectionResult(
-        bt, delta, replace(point, value=value), fmax, point.sum_sq
-    )
+    return _result(bt, point, std, fmax, f_num, scale, "joint correction")
 
 
-def joint_quadratic(bt: BoundaryType) -> ChainQuadratic:
-    """2(d-1) f(Z, N) on integer states (n_i, x_i), R_m pinned to (0, 0).
-
-    With g = (d-1)n - x this is (d-2) X.X + W.X + G.G + (d-1) g_0 + 2 G.A,
-    the pairings read off the integer rows W.R_i (W = -sum X_i R_i) and A.R_i.
-    """
+def _joint_form(bt: BoundaryType, degrees) -> ChainQuadratic:
     d = bt.d
     xs, _, _ = _joint_nums(bt)
     w_rows = component_degrees([-x for x in xs] + [0])
-    v_rows = a_standard(bt).degrees
 
     def node(i: int, s: tuple[int, int]) -> int:
         n, x = s
         g = (d - 1) * n - x
-        val = x * w_rows[i] + 2 * g * v_rows[i]
+        val = x * w_rows[i] + 2 * g * degrees[i]
         return val + (d - 1) * g if i == 0 else val
 
     def edge(sp: tuple[int, int], s: tuple[int, int]) -> int:
@@ -472,6 +459,15 @@ def joint_quadratic(bt: BoundaryType) -> ChainQuadratic:
         return -(d - 2) * (sp[1] - s[1]) ** 2 - (gp - g) ** 2
 
     return ChainQuadratic(node, edge, end=(0, 0))
+
+
+def joint_quadratic(bt: BoundaryType) -> ChainQuadratic:
+    """2(d-1) f(Z, N) on integer states (n_i, x_i), R_m pinned to (0, 0).
+
+    With g = (d-1)n - x this is (d-2) X.X + W.X + G.G + (d-1) g_0 + 2 G.A,
+    the pairings read off the integer rows W.R_i (W = -sum X_i R_i) and A.R_i.
+    """
+    return _joint_form(bt, a_standard(bt).degrees)
 
 
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
@@ -507,6 +503,19 @@ def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
 #
 # is maximized over the cone of effective Z that contain no full preimage
 # of a component (so C_i and T_i never appear together).
+#
+# For Z = a_1 C_1 + b_1 T_1 + a_2 C_2 + b_2 T_2 and p_i = 2a_i + b_i, Z.U
+# cancels against pZ.W except on T_i: 4 f1 = 2 Z.Z + (p_1 - p_2)^2 + l b_1
+# + (b - l) b_2, in integers.  On the quadrants {C_1 or T_1} x {C_2 or T_2}:
+#
+#     C_1, C_2:  -4 a_1 a_2
+#     T_1, T_2:  -(b_1 + b_2)^2 + b_1 l + b_2 (b - l)
+#     C_1, T_2:  -b_2^2 + b_2 (b - l)
+#     T_1, C_2:  -b_1^2 + b_1 l
+#
+# so the effective maximum is max(l^2, (b - l)^2)/16.  A quadratic in four
+# variables is fixed by its values at the 15 points 0, e_i, 2e_i, e_i + e_k
+# (i < k), so agreeing with 4 nodal_f1 there proves the integer form equal.
 
 _NODAL_BASIS = ("C1", "T1", "C2", "T2")
 _NODAL_GRAM = (
@@ -580,28 +589,34 @@ def trigonal_nodal_rays(bt: BoundaryType) -> tuple[tuple[NodalRay, ...], Fractio
     return tuple(rays), max(r.critical_value for r in rays)
 
 
+def _nodal_f1_x4(l: int, b: int, z) -> int:
+    """4 f1 at the multiplicities z of (C_1, T_1, C_2, T_2), in integers."""
+    c1, t1, c2, t2 = z
+    z_sq = 2 * (c1 * c2 + c1 * t2 + t1 * c2 - c1 * c1 - c2 * c2) - t1 * t1 - t2 * t2
+    return 2 * z_sq + (2 * c1 + t1 - 2 * c2 - t2) ** 2 + l * t1 + (b - l) * t2
+
+
+_NODAL_POINTS = [tuple(sum(i == t for i in ix) for t in range(4)) for ix in (
+    (), *((i,) * s for i in range(4) for s in (1, 2)),
+    *itertools.combinations(range(4), 2))]  # 0, e_i, 2e_i, e_i + e_k
+
+
 def verify_trigonal_nodal_max(bt: BoundaryType, margin: int = 3) -> bool:
     """Brute-force check of the effective maximum of the nodal functional.
 
     Scans all integer effective combinations with coordinates up to the
     critical scale plus ``margin``, excluding supports that contain a full
-    preimage C_i + T_i; True iff none exceeds the ray maximum (which is
-    attained, both critical points being integral for admissible types).
+    preimage C_i + T_i; True iff none exceeds the ray maximum and it is
+    attained (both critical points being integral for admissible types).
+    The scan uses the integer 4 f1, first proved equal to 4 ``nodal_f1``.
     """
     _, effective_max = trigonal_nodal_rays(bt)
     l, b = bt.l, bt.params.b
+    for z in _NODAL_POINTS:
+        if _nodal_f1_x4(l, b, z) != 4 * nodal_f1(bt, z):
+            raise InvariantError(f"integer nodal form differs from f1 at {bt}")
     bound = max(l, b - l) // 2 + margin
-    attained = False
-    for a1 in range(bound + 1):
-        for b1 in range(bound + 1):
-            if a1 and b1:
-                continue
-            for a2 in range(bound + 1):
-                for b2 in range(bound + 1):
-                    if a2 and b2:
-                        continue
-                    value = nodal_f1(bt, (a1, b1, a2, b2))
-                    if value > effective_max:
-                        return False
-                    attained = attained or value == effective_max
-    return attained
+    # one side's allowed (C_i, T_i) multiplicities: never both non-zero
+    side = [(a, 0) for a in range(bound + 1)] + [(0, t) for t in range(1, bound + 1)]
+    values = (_nodal_f1_x4(l, b, (*p1, *p2)) for p1 in side for p2 in side)
+    return max(values, default=None) == 4 * effective_max

@@ -159,9 +159,10 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
 
     for params in _params_range(max_d, max_g):
         for bt in enumerate_boundary_types(params):
+            st, corr1 = formulas.sigma_st(bt), formulas.sigma_corr1(bt)
             res1 = lattice.correction_n(bt)
             corr1_id.count()
-            if formulas.sigma_corr1(bt) != formulas.sigma_st(bt) - res1.delta:
+            if corr1 != st - res1.delta:
                 corr1_id.fail(str(bt))
             nonneg.count()
             if res1.delta < 0 or Fraction(bt.m, 4) - res1.sum_sq < 0:
@@ -172,7 +173,7 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
                 res2 = None
             if res2 is not None:
                 corr2_id.count()
-                if formulas.sigma_corr2(bt) != formulas.sigma_st(bt) - res2.delta:
+                if formulas.sigma_corr2(bt) != st - res2.delta:
                     corr2_id.fail(str(bt))
                 nonneg.count()
                 if res2.delta < 0:
@@ -181,8 +182,8 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             flip = bt.flipped()
             symmetry.count()
             if (
-                formulas.sigma_st(bt) != formulas.sigma_st(flip)
-                or formulas.sigma_corr1(bt) != formulas.sigma_corr1(flip)
+                st != formulas.sigma_st(flip)
+                or corr1 != formulas.sigma_corr1(flip)
                 or formulas.lambda_coeff(bt) != formulas.lambda_coeff(flip)
                 or formulas.psi_coeff(bt) != formulas.psi_coeff(flip)
             ):

@@ -1,10 +1,12 @@
-"""Guards for two rules that every change to the engine must keep.
+"""Guards for the rules that every change to the engine must keep.
 
 1. Both benchmark commands print exactly their golden output.  The argv
    and the golden files are read from ``perfbench/``, never written.
 2. The engine runs in integers: the ``Fraction`` matrix pairing
    ``intersect`` is only the reference that tests and ``verify`` compare
-   with, so no engine path may call it.
+   with, so no engine path may call it.  Likewise the nodal scan calls the
+   ``Fraction`` functional ``nodal_f1`` only at its 8 ray points and 15
+   identity points, and each correction builds A once.
 """
 
 import contextlib
@@ -53,3 +55,42 @@ def test_engine_never_calls_the_matrix_pairing(monkeypatch):
                         lattice.correction_ln(bt, explore_ties)
                 assert lattice.verify_integer_max(bt)
                 assert not joint or lattice.verify_joint_max(bt)
+
+
+def test_nodal_scan_calls_the_fraction_functional_only_to_check(monkeypatch):
+    calls = []
+    nodal_f1 = lattice.nodal_f1
+
+    def counted(bt, z):
+        calls.append(z)
+        return nodal_f1(bt, z)
+
+    monkeypatch.setattr(lattice, "nodal_f1", counted)
+    for g in (2, 4, 8):
+        for bt in enumerate_boundary_types(HurwitzParams(3, g)):
+            if bt.mu.parts == (1, 1, 1):
+                calls.clear()
+                assert lattice.verify_trigonal_nodal_max(bt)
+                assert len(calls) <= 23  # 8 ray points and 15 identity points
+
+
+def test_each_correction_builds_standard_a_once(monkeypatch):
+    calls = []
+    a_standard = lattice.a_standard
+
+    def counted(bt):
+        calls.append(bt)
+        return a_standard(bt)
+
+    monkeypatch.setattr(lattice, "a_standard", counted)
+    for d in range(3, 6):
+        for k in (1, 2):
+            for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+                corrections = [lattice.correction_n]
+                if bt.mu.has_unit_part:
+                    corrections.append(lattice.correction_ln)
+                for correction in corrections:
+                    for explore_ties in (False, True):
+                        calls.clear()
+                        correction(bt, explore_ties)
+                        assert len(calls) == 1

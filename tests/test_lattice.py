@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chain_divisors import theta_representative
-from maroni.chain import ChainModel, component, fibral, full_fibre
+from maroni.chain import ChainModel, a_standard, component, fibral, full_fibre
 from maroni.combinatorics import (
     HurwitzParams,
     Partition,
@@ -17,10 +18,8 @@ from maroni.lattice import (
     correction_ln,
     correction_n,
     f_twist,
-    ferr_ln,
     fmax_ln,
     fmax_n,
-    joint_critical,
     joint_f_value,
     joint_quadratic,
     joint_round,
@@ -29,8 +28,18 @@ from maroni.lattice import (
     single_round,
     verify_integer_max,
     verify_joint_max,
+    verify_trigonal_nodal_max,
 )
-from rounding_oracle import oracle_critical_n, oracle_joint_round, oracle_round
+from nodal_oracle import oracle_nodal_max
+from rounding_oracle import (
+    ferr_ln,
+    oracle_critical_n,
+    oracle_fmax_ln,
+    oracle_fmax_n,
+    oracle_joint_critical,
+    oracle_joint_round,
+    oracle_round,
+)
 
 HALF = Fraction(1, 2)
 
@@ -294,6 +303,11 @@ def _box(center, radius):
     return range(center - radius, center + radius + 1)
 
 
+def scan_max(quad, boxes):
+    """The chain DP's reference: the box enumerated point by point."""
+    return max(quad.value(states) for states in itertools.product(*boxes))
+
+
 def test_integer_max_methods_agree():
     # the chain DP and the naive product scan agree on boxes around the
     # rounded point, where the rounded value is the maximum, and on boxes
@@ -305,9 +319,9 @@ def test_integer_max_methods_agree():
         quad = single_quadratic(bt)
         for radius in range(3):
             boxes = [_box(a, radius) for a in alpha]
-            assert quad.scan_max(boxes) == quad.box_max(boxes) == quad.value(alpha)
+            assert scan_max(quad, boxes) == quad.box_max(boxes) == quad.value(alpha)
             moved = [_box(a + 2 * radius + 1, radius) for a in alpha]
-            assert quad.scan_max(moved) == quad.box_max(moved) <= quad.value(alpha)
+            assert scan_max(quad, moved) == quad.box_max(moved) <= quad.value(alpha)
 
 
 def test_single_quadratic_matches_pairing_functional():
@@ -334,7 +348,7 @@ def test_scan_radius_validation():
 def test_joint_requires_unit_part():
     bt = bt_of(3, 4, 4, (3,))
     with pytest.raises(ApplicabilityError):
-        joint_critical(bt)
+        joint_round(bt)
     with pytest.raises(ApplicabilityError):
         correction_ln(bt)
 
@@ -343,7 +357,7 @@ def test_joint_critical_tail_family():
     # d=3, mu=(1,1,1), j = 2(g - g2 + 1): x_0 = g2 + 1, g_0 = a/2
     g, g2 = 6, 3
     bt = bt_of(3, g, 2 * (g - g2 + 1), (1, 1, 1))
-    x, grad = joint_critical(bt)
+    x, grad = oracle_joint_critical(bt)
     assert x == (Fraction(g2 + 1),)
     assert grad == (Fraction(bt.a, 2),)
 
@@ -355,7 +369,7 @@ def test_joint_critical_nonnegative_on_canonical_types():
             for bt in enumerate_boundary_types(HurwitzParams(d, g)):
                 if not bt.mu.has_unit_part:
                     continue
-                x, _ = joint_critical(bt)
+                x, _ = oracle_joint_critical(bt)
                 assert all(xi >= 0 for xi in x)
             g += d - 1
 
@@ -415,7 +429,7 @@ def test_joint_value_matches_closed_form():
     for bt in small_types(max_d=6):
         if not bt.mu.has_unit_part:
             continue
-        x, g = joint_critical(bt)
+        x, g = oracle_joint_critical(bt)
         nvec = [Fraction(gi + xi, bt.d - 1) for gi, xi in zip(g, x)]
         assert joint_f_value(bt, nvec, x) == fmax_ln(bt)
         res = correction_ln(bt)
@@ -461,7 +475,7 @@ def test_joint_max_methods_agree():
                  for x in _box(xi, radius) if x >= 0]
                 for a, xi in zip(pt.alpha, pt.xi)
             ]
-            assert quad.scan_max(boxes) == quad.box_max(boxes) == best
+            assert scan_max(quad, boxes) == quad.box_max(boxes) == best
 
 
 def test_joint_quadratic_matches_pairing_functional():
@@ -478,8 +492,49 @@ def test_joint_quadratic_matches_pairing_functional():
             )
 
 
+@settings(max_examples=120, deadline=None)
+@given(admissible_types(max_d=12))
+def test_integer_corrections_match_fraction_expressions(bt):
+    # the scaled-integer corrections against the Fraction expressions they
+    # replaced, with sum_sq from the Fraction rounding oracle
+    fibre = a_standard(bt).fibre_part_degree
+    fmax = oracle_fmax_n(bt)
+    sum_sq = oracle_round(oracle_critical_n(bt)).sum_sq
+    value = fmax - Fraction(bt.d - 1, 2) * sum_sq
+    for ties in (False, True):
+        res = correction_n(bt, ties)
+        assert (res.delta, res.fmax, res.sum_sq, res.point.value) == (
+            value + fibre, fmax, sum_sq, value)
+    if not bt.mu.has_unit_part:
+        return
+    joint = oracle_joint_round(bt)
+    for ties in (False, True):
+        if min(joint.xi) < 0:
+            with pytest.raises(InvariantError):
+                correction_ln(bt, ties)
+            continue
+        fmax = oracle_fmax_ln(bt)
+        value = fmax + ferr_ln(bt, joint.sum_sq)
+        res = correction_ln(bt, ties)
+        assert (res.delta, res.fmax, res.sum_sq, res.point.value) == (
+            value + fibre, fmax, joint.sum_sq, value)
+
+
 # a unit-part type, so that both corrections apply
 CHECKED_TYPE = (3, 4, 4, (1, 1, 1))
+
+
+@pytest.mark.parametrize("rounding", [single_round, joint_round])
+def test_rounding_tie_check_names_the_type(monkeypatch, rounding):
+    import maroni.lattice as lattice
+
+    def asymmetric(nums, den, check_ties):
+        raise InvariantError(f"tied edge 0 over {den} is asymmetric")
+
+    monkeypatch.setattr(lattice, "_round_scaled", asymmetric)
+    with pytest.raises(InvariantError, match=r"^tied edge 0 over \d+ is asymmetric "
+                       r"at d=3 g=4 j=4 mu=\(1\|1\|1\)$"):
+        rounding(bt_of(*CHECKED_TYPE), True)
 
 
 @pytest.mark.parametrize("target, correction",
@@ -546,6 +601,57 @@ def test_nodal_max_brute_force():
         for j in range(2, params.b // 2 + 1, 2):
             bt = make_boundary_type(params, j, Partition((1, 1, 1)))
             assert verify_trigonal_nodal_max(bt)
+
+
+def trigonal_types(ks=range(1, 7)):
+    for k in ks:
+        for bt in enumerate_boundary_types(HurwitzParams(3, 2 * k)):
+            if bt.mu.parts == (1, 1, 1):
+                yield bt
+
+
+def test_nodal_integer_scan_matches_fraction_oracle():
+    types = list(trigonal_types())
+    assert len(types) == 27
+    for bt in types:
+        for margin in range(4):
+            assert verify_trigonal_nodal_max(bt, margin) == oracle_nodal_max(bt, margin)
+
+
+@pytest.mark.parametrize("shift", [Fraction(-1, 4), Fraction(1, 4)])
+def test_nodal_scans_reject_a_wrong_maximum(monkeypatch, shift):
+    # a ray maximum moved down is exceeded, one moved up is not attained
+    import maroni.lattice as lattice
+    import nodal_oracle
+
+    rays = lattice.trigonal_nodal_rays
+
+    def shifted(bt):
+        found, best = rays(bt)
+        return found, best + shift
+
+    monkeypatch.setattr(lattice, "trigonal_nodal_rays", shifted)
+    monkeypatch.setattr(nodal_oracle, "trigonal_nodal_rays", shifted)
+    for bt in trigonal_types(ks=(1, 2, 3)):
+        assert not verify_trigonal_nodal_max(bt)
+        assert not oracle_nodal_max(bt)
+
+
+@pytest.mark.parametrize("extra", [
+    lambda z: 1,  # constant: seen at 0
+    lambda z: z[1],  # linear: seen at e_1
+    lambda z: z[2] * (z[2] - 1),  # square: seen at 2 e_2 only
+    lambda z: z[0] * z[3],  # cross term: seen at e_0 + e_3 only
+])
+def test_nodal_form_mismatch_raises(monkeypatch, extra):
+    import maroni.lattice as lattice
+
+    form = lattice._nodal_f1_x4
+    monkeypatch.setattr(lattice, "_nodal_f1_x4",
+                        lambda l, b, z: form(l, b, z) + extra(z))
+    with pytest.raises(InvariantError,
+                       match=r"at d=3 g=\d+ j=\d+ mu=\(1\|1\|1\)$"):
+        verify_trigonal_nodal_max(bt_of(3, 6, 6, (1, 1, 1)))
 
 
 def test_nodal_applicability():
