@@ -14,13 +14,16 @@ theta pairs as theta.D = -e_0 - e_m.
 
 The engine needs only the degrees D.R_i, second differences of the
 coefficients (``component_degrees``: O(m), integers for integral D); the
-``Fraction`` matrix pairing ``intersect`` is kept as their reference.
+matrix pairing ``intersect`` is kept as their reference.  It pairs the
+integer numerators of both sides over their common denominators and
+returns one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .combinatorics import BoundaryType, gcd_profile
 from .errors import DomainError, InvariantError
@@ -99,12 +102,23 @@ def _check_same_chain(d1: FibralDivisor, d2: FibralDivisor) -> None:
         raise DomainError("divisors live on chains of different lengths")
 
 
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of the coefficients over their least common denominator."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def intersect(d1: FibralDivisor, d2: FibralDivisor) -> Fraction:
-    """Bilinear symmetric pairing from the component intersection matrix."""
+    """Bilinear symmetric pairing from the component intersection matrix.
+
+    Each side is put over its common denominator; the matrix rows pair the
+    integer numerators, and one ``Fraction`` is built at the end.
+    """
     _check_same_chain(d1, d2)
     m = d1.chain.m
-    e, f = d1.coeffs, d2.coeffs
-    total = Fraction(0)
+    (e, den_e), (f, den_f) = (_over_common_denominator(d.coeffs) for d in (d1, d2))
+    total = 0
     for i in range(m + 1):
         row = (-1 if i in (0, m) else -2) * f[i]
         if i > 0:
@@ -112,7 +126,7 @@ def intersect(d1: FibralDivisor, d2: FibralDivisor) -> Fraction:
         if i < m:
             row += f[i + 1]
         total += e[i] * row
-    return total
+    return Fraction(total, den_e * den_f)
 
 
 def theta_dot(d: FibralDivisor) -> Fraction:

@@ -43,9 +43,12 @@ makes xi_i = x_i + e'_i = ((d-1)X_i + E_i + [m-i odd] D/2)/D an integer.
 
 Everything here is exact.  Each functional also has one integer form, a
 ``ChainQuadratic`` (node terms, edge terms, pinned end state) built from
-the integer degrees A.R_i and W.R_i.  Its evaluator checks the value of
-every correction, and its exact chain dynamic program maximizes it over a
-radius box as an independent oracle.  The naive product scan over the same
+the integer degrees A.R_i and W.R_i.  Its edges are weighted squared
+differences of integer coordinates: -(d-1)(x' - x)^2 in (x) for the single
+twist, and -(d-2)(x' - x)^2 - (g' - g)^2 in (x, g), g = (d-1)n - x, for the
+joint one.  Its evaluator checks the value of every correction, and its
+exact chain dynamic program maximizes it over a radius box as an
+independent oracle.  The naive product scan over the same
 box is the test reference for that program; ``f_twist`` and
 ``joint_f_value``, built on the ``Fraction`` pairing, are the reference
 for the integer forms.
@@ -255,13 +258,21 @@ class ChainQuadratic:
     """An integer objective on the states s_0..s_{m-1} of a chain.
 
     The value is sum_i node(i, s_i) + sum_{i=1}^m edge(s_{i-1}, s_i) with
-    s_m pinned to ``end``.  A box is one iterable of allowed states per
-    chain position.
+    s_m pinned to ``end``.  Each edge is a weighted sum of squared
+    differences of the states' integer coordinates (u, v) = coords(s):
+    edge = -w0 (u' - u)^2 - w1 (v' - v)^2 with (w0, w1) = ``weights``.  A
+    box is one iterable of allowed states per chain position.
     """
 
     node: Callable[[int, Any], int]
-    edge: Callable[[Any, Any], int]
+    coords: Callable[[Any], tuple[int, int]]
+    weights: tuple[int, int]
     end: Any
+
+    def edge(self, sp, s) -> int:
+        (up, vp), (u, v) = self.coords(sp), self.coords(s)
+        w0, w1 = self.weights
+        return -w0 * (up - u) ** 2 - w1 * (vp - v) ** 2
 
     def value(self, states) -> int:
         chain = [*states, self.end]
@@ -270,23 +281,47 @@ class ChainQuadratic:
         )
 
     def box_max(self, boxes) -> int:
-        """Exact maximum over the box by dynamic programming along the chain."""
+        """Exact maximum over the box by dynamic programming along the chain.
+
+        Each state's coordinates are computed once.  A predecessor at (u', v')
+        with score sc reaches a state at (u, v) with sc - w0 (u' - u)^2 -
+        w1 (v' - v)^2 = k + p u + q v - w0 u^2 - w1 v^2, where the line
+        (p, q, k) = (2 w0 u', 2 w1 v', sc - w0 u'^2 - w1 v'^2) is stored per
+        state, so each pair costs two products in integers.  With f = 3 s_0 -
+        (s_0 - s_1)^2 - s_1^2 on a two-node chain, the brute-force maximum
+        over -2..2 in each node is 4, at (2, 1):
+
+        >>> quad = ChainQuadratic(lambda i, s: 3 * s if i == 0 else 0,
+        ...                       lambda s: (s, 0), (1, 0), end=0)
+        >>> quad.box_max([range(-2, 3)] * 2), quad.value((2, 1))
+        (4, 4)
+        """
+        coords, (w0, w1) = self.coords, self.weights
+
+        def line(u, v, score):
+            return 2 * w0 * u, 2 * w1 * v, score - w0 * u * u - w1 * v * v
+
+        def reach(lines, u, v):
+            best = max([k + p * u + q * v for p, q, k in lines])
+            return best - w0 * u * u - w1 * v * v
+
         boxes = list(boxes)
-        scores = {s: self.node(0, s) for s in boxes[0]}
+        lines = [line(*coords(s), self.node(0, s)) for s in boxes[0]]
         for i in range(1, len(boxes)):
-            scores = {
-                s: self.node(i, s)
-                + max(v + self.edge(sp, s) for sp, v in scores.items())
-                for s in boxes[i]
-            }
-        return max(v + self.edge(sp, self.end) for sp, v in scores.items())
+            nxt = []
+            for s in boxes[i]:
+                u, v = coords(s)
+                nxt.append(line(u, v, self.node(i, s) + reach(lines, u, v)))
+            lines = nxt
+        return reach(lines, *coords(self.end))
 
 
 def _single_form(bt: BoundaryType, degrees) -> ChainQuadratic:
     dm1 = bt.d - 1
     return ChainQuadratic(
         node=lambda i, x: 2 * x * degrees[i] + (dm1 * x if i == 0 else 0),
-        edge=lambda xp, x: -dm1 * (xp - x) ** 2,
+        coords=lambda x: (x, 0),
+        weights=(dm1, 0),
         end=0,
     )
 
@@ -453,12 +488,12 @@ def _joint_form(bt: BoundaryType, degrees) -> ChainQuadratic:
         val = x * w_rows[i] + 2 * g * degrees[i]
         return val + (d - 1) * g if i == 0 else val
 
-    def edge(sp: tuple[int, int], s: tuple[int, int]) -> int:
-        gp = (d - 1) * sp[0] - sp[1]
-        g = (d - 1) * s[0] - s[1]
-        return -(d - 2) * (sp[1] - s[1]) ** 2 - (gp - g) ** 2
+    def coords(s: tuple[int, int]) -> tuple[int, int]:
+        n, x = s
+        return x, (d - 1) * n - x
 
-    return ChainQuadratic(node, edge, end=(0, 0))
+    # the edge -(d-2)(x' - x)^2 - (g' - g)^2 is separable in (x, g)
+    return ChainQuadratic(node, coords, weights=(d - 2, 1), end=(0, 0))
 
 
 def joint_quadratic(bt: BoundaryType) -> ChainQuadratic:
@@ -536,11 +571,13 @@ def _require_split_nodal(bt: BoundaryType) -> None:
 def nodal_f1(bt: BoundaryType, z) -> Fraction:
     """The upstairs-twist functional on the split one-node configuration.
 
-    ``z`` gives the multiplicities of (C_1, T_1, C_2, T_2).
+    ``z`` gives the multiplicities of (C_1, T_1, C_2, T_2).  For integer
+    multiplicities every pairing is an integer sum, and f1 is the one
+    ``Fraction`` (2 (Z.Z - Z.U) - ((pZ).(pZ) - pZ.W)) / 4.
     """
     _require_split_nodal(bt)
     l, b = bt.l, bt.params.b
-    z = [Fraction(v) for v in z]
+    z = tuple(z)
     z_sq = sum(
         z[i] * z[k] * _NODAL_GRAM[i][k] for i in range(4) for k in range(4)
     )
@@ -548,7 +585,7 @@ def nodal_f1(bt: BoundaryType, z) -> Fraction:
     push = (2 * z[0] + z[1], 2 * z[2] + z[3])
     push_sq = -((push[0] - push[1]) ** 2)
     push_w = push[0] * l + push[1] * (b - l)
-    return Fraction(z_sq - z_u, 2) - Fraction(push_sq - push_w, 4)
+    return Fraction(2 * (z_sq - z_u) - (push_sq - push_w), 4)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,18 @@
    with, so no engine path may call it.  Likewise the nodal scan calls the
    ``Fraction`` functional ``nodal_f1`` only at its 8 ray points and 15
    identity points, and each correction builds A once.
+3. The ``Fraction`` references stay exact: on integer divisors and points
+   they return ``Fraction``s, and every divisor coefficient is one (an
+   ``int`` coefficient would turn ``theta_dot(a_div) / 2`` into a float).
+4. The box DP of a ``ChainQuadratic`` computes each state's coordinates
+   once, not once per pair of states.
 """
 
 import contextlib
 import io
 import runpy
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -94,3 +101,49 @@ def test_each_correction_builds_standard_a_once(monkeypatch):
                         calls.clear()
                         correction(bt, explore_ties)
                         assert len(calls) == 1
+
+
+def _small_types():
+    for d in range(3, 6):
+        for k in (1, 2):
+            yield from enumerate_boundary_types(HurwitzParams(d, (d - 1) * k))
+
+
+def test_reference_pairings_stay_exact_on_integers():
+    for bt in _small_types():
+        model = chain.ChainModel(bt.m)
+        nvec, xvec = list(range(1 - bt.m, 1)), list(range(bt.m))
+        n_div = chain.fibral(model, [*nvec, 0])
+        a_div = chain.a_standard(bt).divisor
+        divisors = [n_div, a_div, n_div + a_div, n_div - a_div, -n_div,
+                    n_div.scaled(2), chain.full_fibre(model),
+                    chain.component(model, 0)]
+        assert all(type(c) is Fraction for div in divisors for c in div.coeffs)
+        values = [chain.intersect(n_div, a_div), chain.intersect(a_div, a_div),
+                  chain.theta_dot(a_div), lattice.f_twist(bt, n_div)]
+        if bt.mu.has_unit_part:
+            values.append(lattice.joint_f_value(bt, nvec, xvec))
+        if bt.d == 3 and bt.mu.parts == (1, 1, 1):
+            values.append(lattice.nodal_f1(bt, (1, 0, 2, 1)))
+        assert all(type(v) is Fraction for v in values)
+
+
+def test_box_max_computes_each_state_coordinates_once():
+    for bt in _small_types():
+        alpha = lattice.single_round(bt).alpha
+        cases = [(lattice.single_quadratic(bt), [range(a - 2, a + 3) for a in alpha])]
+        if bt.mu.has_unit_part:
+            point = lattice.joint_round(bt)
+            cases.append((lattice.joint_quadratic(bt), [
+                [(n, x) for n in range(a - 1, a + 2) for x in range(xi, xi + 2)]
+                for a, xi in zip(point.alpha, point.xi)
+            ]))
+        for quad, boxes in cases:
+            calls = []
+
+            def counted(s, coords=quad.coords):
+                calls.append(s)
+                return coords(s)
+
+            assert replace(quad, coords=counted).box_max(boxes) == quad.box_max(boxes)
+            assert len(calls) == sum(map(len, boxes)) + 1  # and the pinned end

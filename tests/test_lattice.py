@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -311,7 +313,7 @@ def scan_max(quad, boxes):
 def test_integer_max_methods_agree():
     # the chain DP and the naive product scan agree on boxes around the
     # rounded point, where the rounded value is the maximum, and on boxes
-    # moved away from it
+    # moved away from it; likewise for the joint twist below
     for bt in small_types(max_d=5):
         if bt.m > 4:
             continue
@@ -476,6 +478,12 @@ def test_joint_max_methods_agree():
                 for a, xi in zip(pt.alpha, pt.xi)
             ]
             assert scan_max(quad, boxes) == quad.box_max(boxes) == best
+            moved = [
+                [(n, x) for n in _box(a + 2 * radius + 1, radius)
+                 for x in _box(xi + radius, radius)]
+                for a, xi in zip(pt.alpha, pt.xi)
+            ]
+            assert scan_max(quad, moved) == quad.box_max(moved) <= best
 
 
 def test_joint_quadratic_matches_pairing_functional():
@@ -554,8 +562,6 @@ def test_correction_value_check_fires(monkeypatch, target, correction):
 def test_correction_effectivity_check_fires(monkeypatch, correction):
     # raising A's chain coefficients alpha (A = -sum alpha_i R_i) leaves its
     # degrees, and so the value check, alone but makes A + G non-effective
-    from dataclasses import replace
-
     import maroni.lattice as lattice
 
     standard = lattice.a_standard
@@ -567,6 +573,31 @@ def test_correction_effectivity_check_fires(monkeypatch, correction):
     monkeypatch.setattr(lattice, "a_standard", raised)
     with pytest.raises(InvariantError, match="not effective"):
         correction(bt_of(*CHECKED_TYPE))
+
+
+def test_correction_residual_bound_fires(monkeypatch):
+    # alpha_0 raised by 3, with residuals kept consistent (E = alpha den - N),
+    # passes the value and effectivity checks; its first edge residual is at
+    # least 5/2, so m/4 >= sum_sq fails for every m < 25
+    import maroni.lattice as lattice
+
+    rounded = lattice.single_round
+
+    def far(bt, explore_ties=False):
+        point = rounded(bt, explore_ties)
+        nums, den = lattice._single_nums(bt)
+        alpha = (point.alpha[0] + 3, *point.alpha[1:])
+        scaled = tuple(a * den - n for a, n in zip(alpha, nums))
+        return replace(point, alpha=alpha, scaled=scaled)
+
+    monkeypatch.setattr(lattice, "single_round", far)
+    types = [bt for d in range(3, 6)
+             for bt in enumerate_boundary_types(HurwitzParams(d, 2 * (d - 1)))]
+    assert len(types) == 67
+    for bt in types:
+        with pytest.raises(InvariantError,
+                           match=re.escape(f"residual bound violated at {bt}") + "$"):
+            correction_n(bt)
 
 
 def test_nodal_ray_forms():
