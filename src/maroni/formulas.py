@@ -139,11 +139,7 @@ def sigma_min(
         values.append((sigma_corr2(bt, explore_ties), VARIANT_CORR2))
     except ApplicabilityError:
         pass
-    best = min(v for v, _ in values)
-    for value, tag in values:
-        if value == best:
-            return best, tag
-    raise AssertionError("unreachable")
+    return min(values, key=lambda item: item[0])  # the first achiever wins
 
 
 @dataclass(frozen=True, slots=True)

@@ -41,22 +41,24 @@ rounds (g_i + x_i)/(d-1) = N_i/D with N_i = ((m-i)a - delta_i)(d-2) + X_i,
 D = 2(d-1)(d-2); the parity shift e'_i = E_i/D (+ 1/2 when m-i is odd)
 makes xi_i = x_i + e'_i = ((d-1)X_i + E_i + [m-i odd] D/2)/D an integer.
 
-Everything here is exact.  Each functional also has one integer form, a
-``ChainQuadratic`` (node terms, edge terms, pinned end state) built from
-the integer degrees A.R_i and W.R_i.  Its edges are weighted squared
-differences of integer coordinates: -(d-1)(x' - x)^2 in (x) for the single
-twist, and -(d-2)(x' - x)^2 - (g' - g)^2 in (x, g), g = (d-1)n - x, for the
-joint one.  Its evaluator checks the value of every correction, and its
-exact chain dynamic program maximizes it over a radius box as an
-independent oracle.  The naive product scan over the same
-box is the test reference for that program; ``f_twist`` and
-``joint_f_value``, built on the ``Fraction`` pairing, are the reference
-for the integer forms.
+Everything here is exact.  Both twists have one integer form, a data-only
+``ChainQuadratic`` built by ``twist_quadratic`` from the integer degrees
+A.R_i and W.R_i: 2(d-1) f(Z, N) on states (x, g), g = (d-1)n - x, with
+node terms W.R_i x_i + (2 A.R_i + (d-1)[i=0]) g_i, the separable edges
+-(d-2)(x' - x)^2 - (g' - g)^2 and the end pinned at (0, 0).  The single
+twist is this form at X = 0 (W = 0, states (0, (d-1)n)), where
+2(d-1) f(0, N) = (d-1) 2f(N).
+Its evaluator checks the value of every correction, and its exact chain
+dynamic program maximizes it over a radius box as an independent oracle.
+The naive product scan over the same box is the test reference for that
+program; ``f_twist`` and ``joint_f_value``, built on the ``Fraction``
+pairing, are the reference for the integer form.
 
-Scales.  Each correction is an integer over one scale, with S = D^2 sum_sq:
-8(d-1) f(alpha) = 8(d-1) f_max - S = 4(d-1) value(alpha) for the single
-twist, 8(d-1)^2(d-2) f = 8(d-1)^2(d-2) f_max - S - m(d-1)^2(d-2) =
-4(d-1)(d-2) value for the joint one; only reported fields are Fractions.
+Scales.  Each correction is an integer over the scale 8(d-1)k, k = 1 for
+the single twist and (d-1)(d-2) for the joint one, with S = D^2 sum_sq and
+the form's value 2(d-1) f: 8(d-1)k f_max = 8(d-1)k f + S + defect =
+4k value + S + defect, where the defect is 0 for the single twist and
+m(d-1)k for the joint one; only reported fields are Fractions.
 The one-node trigonal oracle scans an integer form of 4 f1, proved equal
 to ``nodal_f1`` at the 15 points that fix a quadratic in four variables.
 """
@@ -67,7 +69,6 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable
 
 from .chain import (
     ChainModel,
@@ -189,7 +190,7 @@ def f_twist(bt: BoundaryType, n: FibralDivisor) -> Fraction:
 
     Fibre multiples are normalized away first, so adding a full fibre to N
     does not change the value.  Evaluated from the matrix pairing, as the
-    reference for ``single_quadratic``.
+    reference for ``twist_quadratic`` at X = 0.
     """
     n = n - full_fibre(n.chain).scaled(n.coeffs[-1])  # R_m coefficient 0
     a_div = a_standard(bt).divisor
@@ -219,8 +220,36 @@ def fmax_n(bt: BoundaryType) -> Fraction:
     return Fraction(bt.m * bt.a**2 + bt.delta_square_sum, 8 * (bt.d - 1))
 
 
-def _result(bt, point, std, fmax, f_num: int, scale: int, label: str):
-    """The correction f + f_A from f = f_num/scale; it must be >= 0."""
+def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResult:
+    """The reduction of the standard coefficient by the best single twist.
+
+    delta = f(alpha) + (f_A - f_{A+(d-1)N}); the second term is -mc/2 when
+    c > 0 and 0 otherwise.  ``_correction`` checks it with k = 1, X = 0.
+    """
+    point = single_round(bt, explore_ties)
+    return _correction(bt, point, None, fmax_n(bt), 1, 0, "correction")
+
+
+def _correction(bt, point, xs, fmax, k: int, defect: int, label: str):
+    """The correction f + f_A at a rounded point, over the scale 8(d-1)k.
+
+    The twist form (branch numerators ``xs``) at the point's states is
+    2(d-1) f, and 8(d-1)k f_max = 4k value + S + defect is checked (module
+    docstring), then A + G against having non-negative coefficients
+    (g_i >= alpha_i of A), the residual bound m/4 >= sum_sq and delta >= 0.
+    The R_m coefficient of A + G is 0 by construction (A, N and X vanish
+    there), so an effective A + G has no fibre part left.
+    """
+    std = a_standard(bt)
+    s, scale = point.scaled_sum_sq, 8 * (bt.d - 1) * k
+    states = twist_states(bt.d, point.alpha, point.xi)
+    f_num = 4 * k * twist_quadratic(bt, std.degrees, xs).value(states)
+    if (f_num + s + defect) * fmax.denominator != fmax.numerator * scale:
+        raise InvariantError(f"rounded {label} value mismatch at {bt}")
+    if min(g - a for (_, g), a in zip(states, std.alpha)) < 0:
+        raise InvariantError(f"A + G of the {label} not effective at {bt}")
+    if bt.m * point.den**2 < 4 * s:
+        raise InvariantError(f"residual bound violated at {bt}")
     fibre = std.fibre_part_degree
     delta_num = f_num + fibre.numerator * scale // fibre.denominator
     if delta_num < 0:
@@ -229,110 +258,74 @@ def _result(bt, point, std, fmax, f_num: int, scale: int, label: str):
     return CorrectionResult(bt, Fraction(delta_num, scale), point, fmax, point.sum_sq)
 
 
-def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResult:
-    """The reduction of the standard coefficient by the best single twist.
-
-    delta = f(alpha) + (f_A - f_{A+(d-1)N}); the second term is -mc/2 when
-    c > 0 and 0 otherwise.  Over the scale 8(d-1) (module docstring) the
-    closed-form value is checked against ``single_quadratic``, and
-    A + (d-1)N against having non-negative coefficients.  Its R_m
-    coefficient is 0 by construction (both A and N vanish there), so an
-    effective A + (d-1)N has no fibre part left.
-    """
-    point = single_round(bt, explore_ties)
-    std = a_standard(bt)
-    dm1, s, fmax = bt.d - 1, point.scaled_sum_sq, fmax_n(bt)
-    scale = 8 * dm1
-    f_num = _single_form(bt, std.degrees).value(point.alpha) * 4 * dm1
-    if (f_num + s) * fmax.denominator != fmax.numerator * scale:
-        raise InvariantError(f"rounded value mismatch at {bt}")
-    if min(dm1 * n - a for n, a in zip(point.alpha, std.alpha)) < 0:
-        raise InvariantError(f"twisted divisor not effective at {bt}")
-    if bt.m * point.den**2 < 4 * s:
-        raise InvariantError(f"residual bound violated at {bt}")
-    return _result(bt, point, std, fmax, f_num, scale, "correction")
-
-
 @dataclass(frozen=True)
 class ChainQuadratic:
-    """An integer objective on the states s_0..s_{m-1} of a chain.
+    """An integer objective on states s_i = (x_i, g_i) along a chain.
 
-    The value is sum_i node(i, s_i) + sum_{i=1}^m edge(s_{i-1}, s_i) with
-    s_m pinned to ``end``.  Each edge is a weighted sum of squared
-    differences of the states' integer coordinates (u, v) = coords(s):
-    edge = -w0 (u' - u)^2 - w1 (v' - v)^2 with (w0, w1) = ``weights``.  A
-    box is one iterable of allowed states per chain position.
+    The value is sum_i (p_i x_i + q_i g_i) - sum_{i=1}^m (w0 (x_{i-1} -
+    x_i)^2 + w1 (g_{i-1} - g_i)^2) with (p_i, q_i) = ``linear[i]``,
+    (w0, w1) = ``weights`` and s_m pinned to (0, 0).  A box is one iterable
+    of allowed states per chain position.
     """
 
-    node: Callable[[int, Any], int]
-    coords: Callable[[Any], tuple[int, int]]
+    linear: tuple[tuple[int, int], ...]
     weights: tuple[int, int]
-    end: Any
-
-    def edge(self, sp, s) -> int:
-        (up, vp), (u, v) = self.coords(sp), self.coords(s)
-        w0, w1 = self.weights
-        return -w0 * (up - u) ** 2 - w1 * (vp - v) ** 2
 
     def value(self, states) -> int:
-        chain = [*states, self.end]
-        return sum(self.node(i, s) for i, s in enumerate(chain[:-1])) + sum(
-            self.edge(sp, s) for sp, s in zip(chain, chain[1:])
+        (w0, w1), states = self.weights, [*states, (0, 0)]
+        return sum(p * x + q * g for (p, q), (x, g) in zip(self.linear, states)) - sum(
+            w0 * (xp - x) ** 2 + w1 * (gp - g) ** 2
+            for (xp, gp), (x, g) in itertools.pairwise(states)
         )
 
     def box_max(self, boxes) -> int:
         """Exact maximum over the box by dynamic programming along the chain.
 
-        Each state's coordinates are computed once.  A predecessor at (u', v')
-        with score sc reaches a state at (u, v) with sc - w0 (u' - u)^2 -
-        w1 (v' - v)^2 = k + p u + q v - w0 u^2 - w1 v^2, where the line
-        (p, q, k) = (2 w0 u', 2 w1 v', sc - w0 u'^2 - w1 v'^2) is stored per
-        state, so each pair costs two products in integers.  With f = 3 s_0 -
-        (s_0 - s_1)^2 - s_1^2 on a two-node chain, the brute-force maximum
-        over -2..2 in each node is 4, at (2, 1):
+        A predecessor at (x', g') with score sc reaches a state (x, g) with
+        sc - w0 (x' - x)^2 - w1 (g' - g)^2 = k + p x + q g - w0 x^2 - w1 g^2,
+        where the line (p, q, k) = (2 w0 x', 2 w1 g', sc - w0 x'^2 - w1 g'^2)
+        is stored per state, so each pair costs two products in integers.
+        With f = 3 g_0 - (g_0 - g_1)^2 - g_1^2 on a two-node chain, the
+        brute-force maximum over -2..2 in each node is 4, at (2, 1):
 
-        >>> quad = ChainQuadratic(lambda i, s: 3 * s if i == 0 else 0,
-        ...                       lambda s: (s, 0), (1, 0), end=0)
-        >>> quad.box_max([range(-2, 3)] * 2), quad.value((2, 1))
+        >>> quad = ChainQuadratic(((0, 3), (0, 0)), weights=(0, 1))
+        >>> box = [(0, g) for g in range(-2, 3)]
+        >>> quad.box_max([box, box]), quad.value([(0, 2), (0, 1)])
         (4, 4)
         """
-        coords, (w0, w1) = self.coords, self.weights
+        w0, w1 = self.weights
 
-        def line(u, v, score):
-            return 2 * w0 * u, 2 * w1 * v, score - w0 * u * u - w1 * v * v
+        def line(x, g, score):
+            return 2 * w0 * x, 2 * w1 * g, score - w0 * x * x - w1 * g * g
 
-        def reach(lines, u, v):
-            best = max([k + p * u + q * v for p, q, k in lines])
-            return best - w0 * u * u - w1 * v * v
+        def reach(lines, x, g):
+            best = max([k + p * x + q * g for p, q, k in lines])
+            return best - w0 * x * x - w1 * g * g
 
-        boxes = list(boxes)
-        lines = [line(*coords(s), self.node(0, s)) for s in boxes[0]]
-        for i in range(1, len(boxes)):
-            nxt = []
-            for s in boxes[i]:
-                u, v = coords(s)
-                nxt.append(line(u, v, self.node(i, s) + reach(lines, u, v)))
-            lines = nxt
-        return reach(lines, *coords(self.end))
+        boxes, (p, q) = list(boxes), self.linear[0]
+        lines = [line(x, g, p * x + q * g) for x, g in boxes[0]]
+        for (p, q), box in zip(self.linear[1:], boxes[1:]):
+            lines = [line(x, g, p * x + q * g + reach(lines, x, g)) for x, g in box]
+        return reach(lines, 0, 0)
 
 
-def _single_form(bt: BoundaryType, degrees) -> ChainQuadratic:
-    dm1 = bt.d - 1
-    return ChainQuadratic(
-        node=lambda i, x: 2 * x * degrees[i] + (dm1 * x if i == 0 else 0),
-        coords=lambda x: (x, 0),
-        weights=(dm1, 0),
-        end=0,
-    )
+def twist_quadratic(bt: BoundaryType, degrees, xs=None) -> ChainQuadratic:
+    """2(d-1) f(Z, N) on integer states (x_i, g_i = (d-1)n_i - x_i).
 
-
-def single_quadratic(bt: BoundaryType) -> ChainQuadratic:
-    """2 f(N) on integer coordinates of N on R_0..R_{m-1} (R_m pinned to 0).
-
-    2 f(N) = 2 N.A + (d-1)(N.N - N.theta), with N.A = sum x_i (A.R_i),
-    N.N = -sum (x_{i-1} - x_i)^2 and N.theta = -x_0.
+    2(d-1) f = (d-2) X.X + W.X + G.G + (d-1) g_0 + 2 G.A, with W.R_i read
+    off the branch numerators ``xs`` (W = -sum X_i R_i) and A.R_i =
+    ``degrees[i]``.  With ``xs`` None, W = 0 and on the states (0, (d-1)n)
+    it is 2(d-1) f(N), the single twist as the joint form at X = 0.
     """
-    return _single_form(bt, a_standard(bt).degrees)
+    d, m = bt.d, bt.m
+    w_rows = component_degrees([-x for x in xs or [0] * m] + [0])
+    linear = tuple((w_rows[i], 2 * degrees[i] + (d - 1) * (i == 0)) for i in range(m))
+    return ChainQuadratic(linear, weights=(d - 2, 1))
+
+
+def twist_states(d: int, ns, xs=None) -> list[tuple[int, int]]:
+    """The states (x_i, (d-1)n_i - x_i) of N-coordinates ns (x = 0 if no xs)."""
+    return [(x, (d - 1) * n - x) for n, x in zip(ns, xs or [0] * len(ns))]
 
 
 def _radius_box(center: int, radius: int) -> range:
@@ -342,15 +335,16 @@ def _radius_box(center: int, radius: int) -> range:
 def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
     """Check by exhaustive box search that the rounded point maximizes f.
 
-    Maximizes 2 f over every integer vector within sup-distance ``radius``
-    of the rounded point; returns True iff nothing exceeds its value there.
+    Maximizes the twist form 2(d-1) f over every integer vector within
+    sup-distance ``radius`` of the rounded point; returns True iff nothing
+    exceeds its value there.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    point = single_round(bt)
-    quad = single_quadratic(bt)
-    boxes = [_radius_box(a, radius) for a in point.alpha]
-    return quad.box_max(boxes) <= quad.value(point.alpha)
+    alpha = single_round(bt).alpha
+    quad = twist_quadratic(bt, a_standard(bt).degrees)
+    boxes = [twist_states(bt.d, _radius_box(a, radius)) for a in alpha]
+    return quad.box_max(boxes) <= quad.value(twist_states(bt.d, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -455,54 +449,15 @@ def correction_ln(bt: BoundaryType, explore_ties: bool = False) -> CorrectionRes
     """The reduction of the standard coefficient by the best joint twist.
 
     delta = f_max + f_err + (f_A - f_{A+G}), f_err = -((d-2)/2) sum_sq - m/8,
-    with the fibre term -mc/2 for c > 0 and 0 otherwise.  Over the scale
-    8(d-1)^2(d-2) the closed form is checked against ``joint_quadratic`` at
-    the rounded point, and A + G = A + (d-1)N - X against having
-    non-negative coefficients; as for the single twist its R_m coefficient
-    is 0 by construction, so no fibre part is left.
+    with the fibre term -mc/2 for c > 0 and 0 otherwise.  ``_correction``
+    checks it with k = (d-1)(d-2) and defect m(d-1)k, and A + G = A +
+    (d-1)N - X.
     """
     point = joint_round(bt, explore_ties)
-    std = a_standard(bt)
-    assert point.xi is not None
-    d, fmax = bt.d, fmax_ln(bt)
-    scale = 8 * (d - 1) ** 2 * (d - 2)
-    states = zip(point.alpha, point.xi)
-    f_num = _joint_form(bt, std.degrees).value(states) * 4 * (d - 1) * (d - 2)
-    defect = point.scaled_sum_sq + bt.m * scale // 8  # S + m (d-1)^2 (d-2)
-    if (f_num + defect) * fmax.denominator != fmax.numerator * scale:
-        raise InvariantError(f"joint rounded value mismatch at {bt}")
-    twist = zip(point.alpha, point.xi, std.alpha)
-    if min((d - 1) * n - x - a for n, x, a in twist) < 0:
-        raise InvariantError(f"A + G not effective at {bt}")
-    return _result(bt, point, std, fmax, f_num, scale, "joint correction")
-
-
-def _joint_form(bt: BoundaryType, degrees) -> ChainQuadratic:
-    d = bt.d
     xs, _, _ = _joint_nums(bt)
-    w_rows = component_degrees([-x for x in xs] + [0])
-
-    def node(i: int, s: tuple[int, int]) -> int:
-        n, x = s
-        g = (d - 1) * n - x
-        val = x * w_rows[i] + 2 * g * degrees[i]
-        return val + (d - 1) * g if i == 0 else val
-
-    def coords(s: tuple[int, int]) -> tuple[int, int]:
-        n, x = s
-        return x, (d - 1) * n - x
-
-    # the edge -(d-2)(x' - x)^2 - (g' - g)^2 is separable in (x, g)
-    return ChainQuadratic(node, coords, weights=(d - 2, 1), end=(0, 0))
-
-
-def joint_quadratic(bt: BoundaryType) -> ChainQuadratic:
-    """2(d-1) f(Z, N) on integer states (n_i, x_i), R_m pinned to (0, 0).
-
-    With g = (d-1)n - x this is (d-2) X.X + W.X + G.G + (d-1) g_0 + 2 G.A,
-    the pairings read off the integer rows W.R_i (W = -sum X_i R_i) and A.R_i.
-    """
-    return _joint_form(bt, a_standard(bt).degrees)
+    k = (bt.d - 1) * (bt.d - 2)
+    return _correction(bt, point, xs, fmax_ln(bt), k, bt.m * (bt.d - 1) * k,
+                       "joint correction")
 
 
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
@@ -515,14 +470,14 @@ def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
     if radius < 0:
         raise DomainError("radius must be >= 0")
     point = joint_round(bt)
-    assert point.xi is not None
-    quad = joint_quadratic(bt)
+    xs, _, _ = _joint_nums(bt)
+    quad, dm1 = twist_quadratic(bt, a_standard(bt).degrees, xs), bt.d - 1
     boxes = [
-        [(n, x) for n in _radius_box(a, radius)
+        [(x, dm1 * n - x) for n in _radius_box(a, radius)
          for x in _radius_box(xi, radius) if x >= 0]
         for a, xi in zip(point.alpha, point.xi)
     ]
-    return quad.box_max(boxes) <= quad.value(zip(point.alpha, point.xi))
+    return quad.box_max(boxes) <= quad.value(twist_states(bt.d, point.alpha, point.xi))
 
 
 # ---------------------------------------------------------------------------

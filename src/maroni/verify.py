@@ -23,6 +23,14 @@ from .combinatorics import (
 )
 from .errors import ApplicabilityError
 
+# fixed check ranges: the lattice oracles run at g = (d-1)k, k in LATTICE_KS,
+# on chains with m <= LATTICE_MAX_LCM
+LATTICE_KS = (1, 2)
+LATTICE_MAX_LCM = 6
+PATEL_MAX_K = 10
+WE_SQUARE_MAX_D = 12
+TABLE2_GS = range(4, 11, 2)
+
 # the fourteen positive single-twist corrections for d = 3, 4, 5, keyed by
 # (d, parts, j mod 2(d-1))
 TABLE1: dict[tuple[int, tuple[int, ...], int], int] = {
@@ -104,10 +112,10 @@ def run_table1_check() -> CheckResult:
     return result
 
 
-def run_table2_check(gs) -> CheckResult:
-    """Golden check of the trigonal comparison families for the given g."""
+def run_table2_check() -> CheckResult:
+    """Golden check of the trigonal comparison families for g in TABLE2_GS."""
     result = CheckResult("table2: trigonal closure corrections")
-    for g in gs:
+    for g in TABLE2_GS:
         for row in formulas.dp_trigonal_check(g):
             if row.status == "SKIP":
                 continue
@@ -120,11 +128,11 @@ def run_table2_check(gs) -> CheckResult:
     return result
 
 
-def run_patel_check(max_d: int = 6, max_k: int = 10) -> CheckResult:
+def run_patel_check(max_d: int = 6) -> CheckResult:
     """The j = 2 display equals sigma_st at the three partitions."""
     result = CheckResult("patel: j=2 display vs sigma_st")
     for d in range(3, max_d + 1):
-        for k in range(1, max_k + 1):
+        for k in range(1, PATEL_MAX_K + 1):
             params = HurwitzParams(d, (d - 1) * k)
             for label, displayed, direct in formulas.patel_consistency(params):
                 if direct is None:
@@ -218,10 +226,10 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
     return results
 
 
-def run_we_square_check(max_d: int = 12) -> CheckResult:
+def run_we_square_check() -> CheckResult:
     """Exceptional branch square: closed form vs matrix pairing."""
     result = CheckResult("W_E^2 closed form = matrix pairing")
-    for d in range(1, max_d + 1):
+    for d in range(1, WE_SQUARE_MAX_D + 1):
         for mu in enumerate_partitions(d):
             result.count()
             profile = gcd_profile(mu)
@@ -231,18 +239,17 @@ def run_we_square_check(max_d: int = 12) -> CheckResult:
     return result
 
 
-def run_lattice_suite(max_d: int = 5, radius: int = 3,
-                      ks=(1, 2), max_lcm: int = 6) -> list[CheckResult]:
+def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
     """Brute-force integer-maximum oracles over an enumerated range."""
     single = CheckResult(f"single-twist integer maximum (radius {radius})")
     joint = CheckResult(f"joint-twist integer maximum (radius {radius})")
     effective = CheckResult("twisted divisors effective with no fibre part")
     nodal = CheckResult("split one-node fibre effective maximum")
     for d in range(3, max_d + 1):
-        for k in ks:
+        for k in LATTICE_KS:
             params = HurwitzParams(d, (d - 1) * k)
             for bt in enumerate_boundary_types(params):
-                if bt.m > max_lcm:
+                if bt.m > LATTICE_MAX_LCM:
                     continue
                 single.count()
                 if not lattice.verify_integer_max(bt, radius):
@@ -276,5 +283,5 @@ def run_suites(suite: str, *, radius: int = 3, max_d: int = 5,
         out.append(run_patel_check(max_d=max(max_d, 3)))
     if suite in ("tables", "all"):
         out.append(run_table1_check())
-        out.append(run_table2_check(range(4, 11, 2)))
+        out.append(run_table2_check())
     return out

@@ -10,14 +10,11 @@
 3. The ``Fraction`` references stay exact: on integer divisors and points
    they return ``Fraction``s, and every divisor coefficient is one (an
    ``int`` coefficient would turn ``theta_dot(a_div) / 2`` into a float).
-4. The box DP of a ``ChainQuadratic`` computes each state's coordinates
-   once, not once per pair of states.
 """
 
 import contextlib
 import io
 import runpy
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -127,23 +124,3 @@ def test_reference_pairings_stay_exact_on_integers():
             values.append(lattice.nodal_f1(bt, (1, 0, 2, 1)))
         assert all(type(v) is Fraction for v in values)
 
-
-def test_box_max_computes_each_state_coordinates_once():
-    for bt in _small_types():
-        alpha = lattice.single_round(bt).alpha
-        cases = [(lattice.single_quadratic(bt), [range(a - 2, a + 3) for a in alpha])]
-        if bt.mu.has_unit_part:
-            point = lattice.joint_round(bt)
-            cases.append((lattice.joint_quadratic(bt), [
-                [(n, x) for n in range(a - 1, a + 2) for x in range(xi, xi + 2)]
-                for a, xi in zip(point.alpha, point.xi)
-            ]))
-        for quad, boxes in cases:
-            calls = []
-
-            def counted(s, coords=quad.coords):
-                calls.append(s)
-                return coords(s)
-
-            assert replace(quad, coords=counted).box_max(boxes) == quad.box_max(boxes)
-            assert len(calls) == sum(map(len, boxes)) + 1  # and the pinned end

@@ -16,6 +16,7 @@ from maroni.combinatorics import (
     make_boundary_type,
 )
 from maroni.errors import ApplicabilityError, DomainError, InvariantError
+import maroni.lattice as lattice
 from maroni.lattice import (
     correction_ln,
     correction_n,
@@ -23,11 +24,11 @@ from maroni.lattice import (
     fmax_ln,
     fmax_n,
     joint_f_value,
-    joint_quadratic,
     joint_round,
     round_chain,
-    single_quadratic,
     single_round,
+    twist_quadratic,
+    twist_states,
     verify_integer_max,
     verify_joint_max,
     verify_trigonal_nodal_max,
@@ -310,6 +311,14 @@ def scan_max(quad, boxes):
     return max(quad.value(states) for states in itertools.product(*boxes))
 
 
+def single_quadratic(bt):
+    return twist_quadratic(bt, a_standard(bt).degrees)
+
+
+def joint_quadratic(bt):
+    return twist_quadratic(bt, a_standard(bt).degrees, lattice._joint_nums(bt)[0])
+
+
 def test_integer_max_methods_agree():
     # the chain DP and the naive product scan agree on boxes around the
     # rounded point, where the rounded value is the maximum, and on boxes
@@ -319,11 +328,13 @@ def test_integer_max_methods_agree():
             continue
         alpha = round_chain(oracle_critical_n(bt)).alpha
         quad = single_quadratic(bt)
+        best = quad.value(twist_states(bt.d, alpha))
         for radius in range(3):
-            boxes = [_box(a, radius) for a in alpha]
-            assert scan_max(quad, boxes) == quad.box_max(boxes) == quad.value(alpha)
-            moved = [_box(a + 2 * radius + 1, radius) for a in alpha]
-            assert scan_max(quad, moved) == quad.box_max(moved) <= quad.value(alpha)
+            boxes = [twist_states(bt.d, _box(a, radius)) for a in alpha]
+            assert scan_max(quad, boxes) == quad.box_max(boxes) == best
+            moved = [twist_states(bt.d, _box(a + 2 * radius + 1, radius))
+                     for a in alpha]
+            assert scan_max(quad, moved) == quad.box_max(moved) <= best
 
 
 def test_single_quadratic_matches_pairing_functional():
@@ -334,7 +345,23 @@ def test_single_quadratic_matches_pairing_functional():
         for _ in range(6):
             alpha = [rng.randint(-8, 8) for _ in range(bt.m)]
             n_div = fibral(chain, [*alpha, 0])
-            assert quad.value(alpha) == 2 * f_twist(bt, n_div)
+            assert quad.value(twist_states(bt.d, alpha)) == (
+                2 * (bt.d - 1) * f_twist(bt, n_div))
+
+
+def test_single_form_is_the_joint_form_at_zero():
+    # 2(d-1) f(0, N) = (d-1) 2 f(N): with X = 0 the branch term W.X drops out
+    rng = random.Random(7)
+    types = [bt for bt in small_types(max_d=6) if bt.mu.has_unit_part]
+    assert {bt.d for bt in types} == {3, 4, 5, 6}
+    for bt in types:
+        single, joint = single_quadratic(bt), joint_quadratic(bt)
+        # the forms differ only in the x column, which x = 0 never reads
+        assert single.weights == joint.weights
+        assert [q for _, q in single.linear] == [q for _, q in joint.linear]
+        for _ in range(6):
+            states = twist_states(bt.d, [rng.randint(-8, 8) for _ in range(bt.m)])
+            assert single.value(states) == joint.value(states)
 
 
 def test_scan_radius_validation():
@@ -470,19 +497,16 @@ def test_joint_max_methods_agree():
     for bt in cases:
         pt = joint_round(bt)
         quad = joint_quadratic(bt)
-        best = quad.value(zip(pt.alpha, pt.xi))
+        best = quad.value(twist_states(bt.d, pt.alpha, pt.xi))
+        def box(ns, xs):  # every (n, x) in ns x xs as a state (x, g)
+            return twist_states(bt.d, *zip(*itertools.product(ns, xs)))
+
         for radius in range(3):
-            boxes = [
-                [(n, x) for n in _box(a, radius)
-                 for x in _box(xi, radius) if x >= 0]
-                for a, xi in zip(pt.alpha, pt.xi)
-            ]
+            boxes = [box(_box(a, radius), [x for x in _box(xi, radius) if x >= 0])
+                     for a, xi in zip(pt.alpha, pt.xi)]
             assert scan_max(quad, boxes) == quad.box_max(boxes) == best
-            moved = [
-                [(n, x) for n in _box(a + 2 * radius + 1, radius)
-                 for x in _box(xi + radius, radius)]
-                for a, xi in zip(pt.alpha, pt.xi)
-            ]
+            moved = [box(_box(a + 2 * radius + 1, radius), _box(xi + radius, radius))
+                     for a, xi in zip(pt.alpha, pt.xi)]
             assert scan_max(quad, moved) == quad.box_max(moved) <= best
 
 
@@ -495,7 +519,7 @@ def test_joint_quadratic_matches_pairing_functional():
         for _ in range(6):
             nvec = [rng.randint(-8, 8) for _ in range(bt.m)]
             xvec = [rng.randint(0, 8) for _ in range(bt.m)]
-            assert quad.value(zip(nvec, xvec)) == (
+            assert quad.value(twist_states(bt.d, nvec, xvec)) == (
                 2 * (bt.d - 1) * joint_f_value(bt, nvec, xvec)
             )
 
