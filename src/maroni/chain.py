@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .combinatorics import BoundaryType, gcd_profile
+from .combinatorics import BoundaryType
 from .errors import DomainError, InvariantError
 
 
@@ -155,8 +155,8 @@ class StandardA:
 
     Writing -A = sum_{i<m} alpha_i R_i with alpha_i = ((m-i)c - delta_i)/2,
     every alpha_i is an integer and the restriction degrees A . R_i are
-    d - n - r on R_0, r on R_m, and half the second difference of the gcd
-    sums on interior components, with total degree 0.  The fibre part of A
+    d - n - r on R_0, r on R_m, and half the second difference of delta
+    on interior components, with total degree 0.  The fibre part of A
     is -(mc/2) F when c > 0 and 0 otherwise.
     """
 
@@ -169,24 +169,19 @@ class StandardA:
         """A = -sum_{i<m} alpha_i R_i as a Fraction divisor on the chain."""
         return fibral(ChainModel(self.bt.m), [-a for a in self.alpha] + [0])
 
-    @property
-    def fibre_part_degree(self) -> Fraction:
-        """f_A, the multiplicity of the full fibre in the fibre part of A."""
-        m, c = self.bt.m, self.bt.c
-        return Fraction(-m * c, 2) if c > 0 else Fraction(0)
-
 
 def expected_twist_degrees(bt: BoundaryType) -> tuple[int, ...]:
     """Restriction degrees of the normalized bundle on R_0..R_m.
 
     These are d - n - r on R_0, r on R_m, and on interior components
-    (1/2) sum_nu (-d_{nu,i-1} + 2 d_{nu,i} - d_{nu,i+1}); they sum to 0.
+    (1/2) sum_nu (-d_{nu,i-1} + 2 d_{nu,i} - d_{nu,i+1}) = (delta_{i-1} -
+    2 delta_i + delta_{i+1})/2, as sum_nu d_{nu,i} = d - delta_i; they sum to 0.
     """
     d, n, r, m = bt.d, bt.n, bt.r, bt.m
-    table = gcd_profile(bt.mu).d_table
+    delta = bt.delta
     degs = [d - n - r]
     for i in range(1, m):
-        twice = sum(-row[i - 1] + 2 * row[i] - row[i + 1] for row in table)
+        twice = delta[i - 1] - 2 * delta[i] + delta[i + 1]
         if twice % 2 != 0:
             raise InvariantError(f"odd interior degree at i={i} for {bt.mu}")
         degs.append(twice // 2)

@@ -11,13 +11,15 @@ Subcommands:
 Rationals are always printed exactly ("p/q" or "p"); partitions print as
 "(3|2|1)".  Exit codes: 0 success, 1 verification failure, 2 usage error
 (bad input, or a construction that does not apply), 3 internal invariant
-failure (a bug, reported as one line, not a traceback).
+failure (a bug, reported as one line, not a traceback), 141 standard
+output closed early by the reader (``maroni ... | head``; 128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -217,7 +219,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # reader gone: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, ApplicabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

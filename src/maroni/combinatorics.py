@@ -135,20 +135,12 @@ class GcdProfile:
     d_{nu,i} = gcd(m_nu, i) for i = 0..m, so d_{nu,0} = m_nu; since m_nu
     divides m also d_{nu,m} = m_nu, hence delta_0 = delta_m = 0.  The
     vector is symmetric, delta_i = delta_{m-i}.  Only delta and its step
-    square sum are stored; the table d_{nu,i} is rebuilt on access.
+    square sum are stored.
     """
 
     mu: Partition
     delta: tuple[int, ...]
     step_square_sum: int  # sum_{i=1}^m (delta_i - delta_{i-1})^2
-
-    @property
-    def d_table(self) -> tuple[tuple[int, ...], ...]:
-        """Rows d_{nu,0..m}, one per part."""
-        m = self.mu.m
-        return tuple(
-            tuple(gcd(part, i) for i in range(m + 1)) for part in self.mu.parts
-        )
 
 
 @functools.lru_cache(maxsize=None)

@@ -83,9 +83,13 @@ def sigma_st(bt: BoundaryType) -> Fraction:
 
 
 def lambda_coeff(bt: BoundaryType) -> Fraction:
-    """Coefficient of the boundary type in the Hodge class."""
+    """Hodge-class coefficient m (j(b-j)/(8(b-1)) - (d - sum 1/m_nu)/12).
+
+    One Fraction (3m j(b-j) - 2(b-1)h)/(24(b-1)), h = d m - sum m/m_nu.
+    """
     b, j, m = bt.params.b, bt.j, bt.m
-    return m * (Fraction(j * (b - j), 8 * (b - 1)) - _hodge_local(bt) / 12)
+    h = bt.d * m - sum(m // p for p in bt.mu.parts)
+    return Fraction(3 * m * j * (b - j) - 2 * (b - 1) * h, 24 * (b - 1))
 
 
 def psi_coeff(bt: BoundaryType) -> Fraction:

@@ -58,7 +58,8 @@ Scales.  Each correction is an integer over the scale 8(d-1)k, k = 1 for
 the single twist and (d-1)(d-2) for the joint one, with S = D^2 sum_sq and
 the form's value 2(d-1) f: 8(d-1)k f_max = 8(d-1)k f + S + defect =
 4k value + S + defect, where the defect is 0 for the single twist and
-m(d-1)k for the joint one; only reported fields are Fractions.
+m(d-1)k for the joint one.  The fibre term f_A (-mc/2 if c > 0, else 0)
+is the integer -mc scale/2 there; only reported fields are Fractions.
 The one-node trigonal oracle scans an integer form of 4 f1, proved equal
 to ``nodal_f1`` at the 15 points that fix a quadratic in four variables.
 """
@@ -250,12 +251,13 @@ def _correction(bt, point, xs, fmax, k: int, defect: int, label: str):
         raise InvariantError(f"A + G of the {label} not effective at {bt}")
     if bt.m * point.den**2 < 4 * s:
         raise InvariantError(f"residual bound violated at {bt}")
-    fibre = std.fibre_part_degree
-    delta_num = f_num + fibre.numerator * scale // fibre.denominator
+    delta_num = f_num - (bt.m * bt.c * scale // 2 if bt.c > 0 else 0)  # f + f_A
     if delta_num < 0:
         raise InvariantError(f"negative {label} {Fraction(delta_num, scale)} at {bt}")
-    point = replace(point, value=Fraction(f_num, scale))
-    return CorrectionResult(bt, Fraction(delta_num, scale), point, fmax, point.sum_sq)
+    point = RoundedPoint(point.alpha, point.scaled, point.den, point.xi,
+                         value=Fraction(f_num, scale))
+    return CorrectionResult(bt, Fraction(delta_num, scale), point, fmax,
+                            Fraction(s, point.den**2))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ and the test suite agree by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import formulas, lattice
@@ -210,15 +210,15 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
                    for i, deg in enumerate(std.degrees)):
                 degrees.fail(f"{bt}: A.R_i differ from the matrix pairing")
 
-            if explore_ties:
+            if explore_ties:  # equal rounded points give equal corrections
                 tie_agree.count()
-                if lattice.correction_n(bt, explore_ties=True).delta != res1.delta:
+                tied = lattice.single_round(bt, explore_ties=True)
+                if tied != replace(res1.point, value=None):
                     tie_agree.fail(f"single twist at {bt}")
-                if res2 is not None and (
-                    lattice.correction_ln(bt, explore_ties=True).delta
-                    != res2.delta
-                ):
-                    tie_agree.fail(f"joint twist at {bt}")
+                if res2 is not None:
+                    tied = lattice.joint_round(bt, explore_ties=True)
+                    if tied != replace(res2.point, value=None):
+                        tie_agree.fail(f"joint twist at {bt}")
 
     results = [corr1_id, corr2_id, nonneg, symmetry, cvc, degrees]
     if explore_ties:

@@ -10,6 +10,7 @@ from chain_divisors import (
     we_divisor,
     zero_divisor,
 )
+from gcd_table import table_twist_degrees
 from maroni.chain import (
     ChainModel,
     a_standard,
@@ -191,6 +192,22 @@ def test_standard_twist_degrees_everywhere():
             assert degrees == expected_twist_degrees(bt)
             # integral chain coefficients
             assert all(c.denominator == 1 for c in std.divisor.coeffs)
+
+
+def test_delta_twist_degrees_match_the_gcd_table():
+    # the interior degrees (delta_{i-1} - 2 delta_i + delta_{i+1})/2 against
+    # the gcd-table sums they replaced, for every partition of d = 3..12
+    # (smaller d has no boundary type) and every residue r at g = d - 1
+    partitions = 0
+    for d in range(3, 13):
+        for mu in enumerate_partitions(d):
+            partitions += 1
+            types = [bt for bt in enumerate_boundary_types(HurwitzParams(d, d - 1))
+                     if bt.mu == mu]
+            assert types
+            for bt in types:
+                assert expected_twist_degrees(bt) == table_twist_degrees(bt)
+    assert partitions == 268
 
 
 def test_degree_guard_rejects_inconsistent_type():

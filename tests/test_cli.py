@@ -206,15 +206,19 @@ def test_library_errors_map_to_exit_codes(
     assert "Traceback" not in err
 
 
-def run_module(*argv):
+def module_env():
     # the child imports the same package as this process, installed or not
     src = str(Path(maroni.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "maroni.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(),
     )
 
 
@@ -222,6 +226,23 @@ def test_console_entry_point():
     proc = run_module("classes", "--d", "3", "--g", "2", "--format", "csv")
     assert proc.returncode == 0
     assert "4,(1|1|1),3,1,0,0,1/7,st,-" in proc.stdout
+
+
+def test_console_closed_stdout_exits_quietly():
+    # the table is far larger than a pipe buffer, so the writer is still
+    # running when the reader closes its end after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "maroni.cli", "classes", "--d", "16", "--g", "15",
+         "--variant", "min", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=module_env(),
+    )
+    assert proc.stdout.readline().startswith("j,mu,n,m,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
 
 
 def test_console_usage_error_exit_code():

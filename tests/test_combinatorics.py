@@ -1,5 +1,6 @@
 import pytest
 
+from gcd_table import d_table
 from maroni.combinatorics import (
     BoundaryType,
     HurwitzParams,
@@ -68,8 +69,7 @@ def test_gcd_profile_examples():
     assert gcd_profile(Partition((1, 1, 1))).delta == (0, 0)
     assert gcd_profile(Partition((4,))).delta == (0, 3, 2, 3, 0)
     # column 0 carries the parts themselves
-    prof = gcd_profile(Partition((4, 2)))
-    assert [row[0] for row in prof.d_table] == [4, 2]
+    assert [row[0] for row in d_table(Partition((4, 2)))] == [4, 2]
 
 
 def test_delta_symmetry_and_nonnegativity():

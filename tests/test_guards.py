@@ -10,6 +10,9 @@
 3. The ``Fraction`` references stay exact: on integer divisors and points
    they return ``Fraction``s, and every divisor coefficient is one (an
    ``int`` coefficient would turn ``theta_dot(a_div) / 2`` into a float).
+4. ``verify`` builds each object once: with the tie search on, the
+   identity suite still builds one correction per twist and type, and
+   checks the tie search on the rounded points alone.
 """
 
 import contextlib
@@ -22,7 +25,7 @@ import pytest
 
 import maroni.chain as chain
 import maroni.lattice as lattice
-from maroni import formulas
+from maroni import formulas, verify
 from maroni.cli import main
 from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
 
@@ -124,3 +127,33 @@ def test_reference_pairings_stay_exact_on_integers():
             values.append(lattice.nodal_f1(bt, (1, 0, 2, 1)))
         assert all(type(v) is Fraction for v in values)
 
+
+def test_tie_check_builds_no_second_correction(monkeypatch):
+    calls = {name: [] for name in ("correction_n", "correction_ln",
+                                   "single_round", "joint_round")}
+
+    def counted(name):
+        original = getattr(lattice, name)
+
+        def wrapper(bt, explore_ties=False):
+            calls[name].append((bt, explore_ties))
+            return original(bt, explore_ties)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lattice, name, counted(name))
+    results = verify.run_identity_suite(max_d=4, max_g=6, explore_ties=True)
+    assert all(res.ok for res in results)
+    types = [bt for params in verify._params_range(4, 6)
+             for bt in enumerate_boundary_types(params)]
+    applicable = [bt for bt in types if bt.mu.has_unit_part]
+    assert (len(types), len(applicable)) == (57, 35)
+    assert [bt for bt, _ in calls["correction_n"]] == types
+    assert [bt for bt, _ in calls["correction_ln"]
+            if bt.mu.has_unit_part] == applicable
+    assert not any(ties for name in ("correction_n", "correction_ln")
+                   for _, ties in calls[name])
+    # the tie check itself still runs the tie search, once per twist
+    assert [bt for bt, ties in calls["single_round"] if ties] == types
+    assert [bt for bt, ties in calls["joint_round"] if ties] == applicable

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chain_divisors import theta_representative
+from chain_divisors import shift_and_fibre_part, theta_representative
 from maroni.chain import ChainModel, a_standard, component, fibral, full_fibre
 from maroni.combinatorics import (
     HurwitzParams,
@@ -528,8 +528,9 @@ def test_joint_quadratic_matches_pairing_functional():
 @given(admissible_types(max_d=12))
 def test_integer_corrections_match_fraction_expressions(bt):
     # the scaled-integer corrections against the Fraction expressions they
-    # replaced, with sum_sq from the Fraction rounding oracle
-    fibre = a_standard(bt).fibre_part_degree
+    # replaced, with sum_sq from the Fraction rounding oracle and the fibre
+    # part of A from its shift normal form
+    fibre = shift_and_fibre_part(a_standard(bt).divisor)[1].coeffs[0]
     fmax = oracle_fmax_n(bt)
     sum_sq = oracle_round(oracle_critical_n(bt)).sum_sq
     value = fmax - Fraction(bt.d - 1, 2) * sum_sq
@@ -597,6 +598,35 @@ def test_correction_effectivity_check_fires(monkeypatch, correction):
     monkeypatch.setattr(lattice, "a_standard", raised)
     with pytest.raises(InvariantError, match="not effective"):
         correction(bt_of(*CHECKED_TYPE))
+
+
+@pytest.mark.parametrize("rounding, correction",
+                         [(single_round, correction_n), (joint_round, correction_ln)])
+def test_correction_effectivity_check_is_tight(monkeypatch, rounding, correction):
+    # A + G missing effectivity by exactly 1: at the index of least slack
+    # g_i - alpha_i(A), alpha_i is raised to g_i + 1 (degrees, and so the
+    # value check, unchanged); a check loosened by one would pass this
+    standard = lattice.a_standard
+    types = [bt for d in range(3, 6)
+             for bt in enumerate_boundary_types(HurwitzParams(d, d - 1))
+             if bt.mu.has_unit_part]
+    assert len(types) == 29
+    for bt in types:
+        point = rounding(bt)
+        gs = [g for _, g in twist_states(bt.d, point.alpha, point.xi)]
+
+        def missed_by_one(bt):
+            std = standard(bt)
+            slack = [g - a for g, a in zip(gs, std.alpha)]
+            i = slack.index(min(slack))
+            alpha = [*std.alpha]
+            alpha[i] += slack[i] + 1
+            return replace(std, alpha=tuple(alpha))
+
+        monkeypatch.setattr(lattice, "a_standard", missed_by_one)
+        with pytest.raises(InvariantError, match="not effective"):
+            correction(bt)
+        monkeypatch.setattr(lattice, "a_standard", standard)
 
 
 def test_correction_residual_bound_fires(monkeypatch):
