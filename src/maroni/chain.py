@@ -160,14 +160,13 @@ class StandardA:
     is -(mc/2) F when c > 0 and 0 otherwise.
     """
 
-    bt: BoundaryType
     alpha: tuple[int, ...]
     degrees: tuple[int, ...]
 
     @property
     def divisor(self) -> FibralDivisor:
         """A = -sum_{i<m} alpha_i R_i as a Fraction divisor on the chain."""
-        return fibral(ChainModel(self.bt.m), [-a for a in self.alpha] + [0])
+        return fibral(ChainModel(len(self.alpha)), [-a for a in self.alpha] + [0])
 
 
 def expected_twist_degrees(bt: BoundaryType) -> tuple[int, ...]:
@@ -206,5 +205,5 @@ def a_standard(bt: BoundaryType) -> StandardA:
     degrees = component_degrees([-a for a in alpha] + [0])
     if degrees != expected_twist_degrees(bt):
         raise InvariantError(f"restriction degrees of A are off for {bt}")
-    return StandardA(bt, tuple(alpha), degrees)
+    return StandardA(tuple(alpha), degrees)
 

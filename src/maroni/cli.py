@@ -77,8 +77,8 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
 def cmd_classes(args, out) -> int:
     params = _params(args)
     table = formulas.build_table(params, args.variant, args.tie_exhaustive)
-    # a generator: _emit_rows reads each row once, so the rendered rows are
-    # never all held in memory next to the table
+    # build_table computes every row before the first line is written; the
+    # rendered lines are produced lazily, one per row, as _emit_rows reads them
     rows = (
         [
             r.bt.j,
@@ -91,7 +91,7 @@ def cmd_classes(args, out) -> int:
             r.variant,
             r.provenance,
         ]
-        for r in table.rows
+        for r in table
     )
     _emit_rows(CSV_HEADER.split(","), rows, args.format, out)
     return 0

@@ -12,7 +12,7 @@ derived integer data collected here:
   vector delta_i = d - sum_nu d_{nu,i} for i = 0..m;
 * the division (j + d - n)/2 = q(d-1) + r with 0 <= r < d - 1 and the
   degree imbalance c = d - n - 2r across the two end components of the
-  fibre chain; the analogous r', c' computed from l = b - j.
+  fibre chain; c' is the imbalance of the same division of l = b - j.
 
 A pair (j, mu) is admissible only when j + d - n is even; both c and c'
 are stored so the side-independence |c|(|c| - 2(d-1)) = |c'|(|c'| - 2(d-1))
@@ -70,10 +70,6 @@ class Partition:
         if any(a < b for a, b in itertools.pairwise(self.parts)):
             raise DomainError(f"parts must be non-increasing, got {self.parts}")
 
-    @classmethod
-    def of(cls, *parts: int) -> "Partition":
-        return cls(tuple(sorted(parts, reverse=True)))
-
     @property
     def d(self) -> int:
         return sum(self.parts)
@@ -92,16 +88,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + "|".join(str(p) for p in self.parts) + ")"
-
-
-def parse_partition(text: str) -> Partition:
-    """Inverse of ``str(Partition)``: parse "(3|2|1)" (or "3|2|1")."""
-    body = text.strip().removeprefix("(").removesuffix(")")
-    try:
-        parts = tuple(int(p) for p in body.split("|"))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse partition from {text!r}") from exc
-    return Partition(parts)
 
 
 def enumerate_partitions(d: int) -> list[Partition]:
@@ -135,10 +121,9 @@ class GcdProfile:
     d_{nu,i} = gcd(m_nu, i) for i = 0..m, so d_{nu,0} = m_nu; since m_nu
     divides m also d_{nu,m} = m_nu, hence delta_0 = delta_m = 0.  The
     vector is symmetric, delta_i = delta_{m-i}.  Only delta and its step
-    square sum are stored.
+    square sum are stored; the partition is the ``gcd_profile`` cache key.
     """
 
-    mu: Partition
     delta: tuple[int, ...]
     step_square_sum: int  # sum_{i=1}^m (delta_i - delta_{i-1})^2
 
@@ -154,7 +139,7 @@ def gcd_profile(mu: Partition) -> GcdProfile:
     # gcd(m_nu, 0) = m_nu is the convention d_{nu,0} = m_nu
     delta = tuple(d - sum(gcd(p, i) for p in mu.parts) for i in range(m + 1))
     steps = sum((a - b) ** 2 for a, b in itertools.pairwise(delta))
-    return GcdProfile(mu, delta, steps)
+    return GcdProfile(delta, steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +148,7 @@ class BoundaryType:
 
     The orientation convention puts j branch points on the end component
     R_m of the resolved fibre chain and l = b - j on the other end R_0;
-    r and c are computed from j, r' and c' from l.  Construct through
+    r and c are computed from j, c' from l.  Construct through
     :func:`make_boundary_type`, which enforces the parity condition.
     """
 
@@ -173,7 +158,6 @@ class BoundaryType:
     q: int
     r: int
     c: int
-    rprime: int
     cprime: int
 
     def __str__(self) -> str:
@@ -209,15 +193,6 @@ class BoundaryType:
     def delta_square_sum(self) -> int:
         return gcd_profile(self.mu).step_square_sum
 
-    @property
-    def canonical_j(self) -> int:
-        """The representative min(j, b-j) of the unordered pair."""
-        return min(self.j, self.l)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.j <= self.l
-
     def flipped(self) -> "BoundaryType":
         """The same unordered boundary type with the two sides swapped."""
         return make_boundary_type(self.params, self.l, self.mu)
@@ -228,7 +203,7 @@ def make_boundary_type(params: HurwitzParams, j: int, mu: Partition) -> Boundary
 
     The branch index must satisfy 2 <= j <= b - 2 and j + d - n must be
     even; then (j + d - n)/2 = q(d-1) + r defines q, r and c = d - n - 2r,
-    and the same division applied to l = b - j gives r' and c'.
+    and the same division applied to l = b - j gives c'.
     """
     if mu.d != params.d:
         raise DomainError(f"partition {mu} is not a partition of d={params.d}")
@@ -246,7 +221,6 @@ def make_boundary_type(params: HurwitzParams, j: int, mu: Partition) -> Boundary
         q=q,
         r=r,
         c=d - n - 2 * r,
-        rprime=rprime,
         cprime=d - n - 2 * rprime,
     )
 

@@ -154,19 +154,10 @@ class TableRow:
     provenance: str
 
 
-@dataclass(frozen=True)
-class DivisorClassTable:
-    """One coefficient per canonical admissible type, for one variant."""
-
-    params: HurwitzParams
-    variant: str
-    rows: tuple[TableRow, ...]
-
-
 def build_table(
     params: HurwitzParams, variant: str, explore_ties: bool = False
-) -> DivisorClassTable:
-    """Assemble the coefficient table over all canonical boundary types.
+) -> tuple[TableRow, ...]:
+    """The coefficient rows of one variant over all canonical boundary types.
 
     The corr2 table keeps only the applicable types (a part equal to 1);
     the other variants have one row per canonical admissible type.  Rows
@@ -190,7 +181,7 @@ def build_table(
             value, tag = sigma_min(bt, explore_ties)
             prov = tag if tag != VARIANT_CORR2 else CORR2_MIN_PROVENANCE
             rows.append(TableRow(bt, value, variant, prov))
-    return DivisorClassTable(params, variant, tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ the single twist and (d-1)(d-2) for the joint one, with S = D^2 sum_sq and
 the form's value 2(d-1) f: 8(d-1)k f_max = 8(d-1)k f + S + defect =
 4k value + S + defect, where the defect is 0 for the single twist and
 m(d-1)k for the joint one.  The fibre term f_A (-mc/2 if c > 0, else 0)
-is the integer -mc scale/2 there; only reported fields are Fractions.
+is the integer -mc scale/2 there; only delta, fmax and value are Fractions.
 The one-node trigonal oracle scans an integer form of 4 f1, proved equal
 to ``nodal_f1`` at the 15 points that fix a quadratic in four variables.
 """
@@ -90,18 +90,15 @@ class RoundedPoint:
     """An integer point near a rational critical point N/den of a twist form.
 
     ``alpha`` are the rounded chain coefficients and ``scaled`` the scaled
-    residuals E_i = alpha_i den - N_i (E_m = 0 implicit).  The residuals
-    ``e`` (E_i/den), ``sum_sq`` = sum_{i=1}^m (e_{i-1} - e_i)^2 and, for
-    the joint construction, the parity-shifted ``eprime`` are derived on
-    access.  ``xi`` holds the joint effective-divisor coordinates and
-    ``value`` the exact functional value.
+    residuals E_i = alpha_i den - N_i (E_m = 0 implicit); ``xi`` holds the
+    joint effective-divisor coordinates.  The residuals ``e`` (E_i/den)
+    and ``sum_sq`` = sum_{i=1}^m (e_{i-1} - e_i)^2 are derived on access.
     """
 
     alpha: tuple[int, ...]
     scaled: tuple[int, ...]
     den: int
     xi: tuple[int, ...] | None = None
-    value: Fraction | None = None
 
     @property
     def e(self) -> tuple[Fraction, ...]:
@@ -117,26 +114,19 @@ class RoundedPoint:
     def sum_sq(self) -> Fraction:
         return Fraction(self.scaled_sum_sq, self.den**2)
 
-    @property
-    def eprime(self) -> tuple[Fraction, ...] | None:
-        if self.xi is None:
-            return None
-        m, den = len(self.scaled), self.den
-        return tuple(
-            Fraction(2 * s + (den if (m - i) % 2 else 0), 2 * den)
-            for i, s in enumerate(self.scaled)
-        )
-
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """The amount subtracted from the standard coefficient at one type."""
+    """The amount subtracted from the standard coefficient at one type.
 
-    bt: BoundaryType
+    ``delta`` is that amount, ``point`` the rounded point it comes from,
+    ``fmax`` the critical value and ``value`` the functional at the point.
+    """
+
     delta: Fraction
     point: RoundedPoint
     fmax: Fraction
-    sum_sq: Fraction
+    value: Fraction
 
 
 def _round_scaled(nums, den: int, check_ties: bool) -> RoundedPoint:
@@ -254,10 +244,8 @@ def _correction(bt, point, xs, fmax, k: int, defect: int, label: str):
     delta_num = f_num - (bt.m * bt.c * scale // 2 if bt.c > 0 else 0)  # f + f_A
     if delta_num < 0:
         raise InvariantError(f"negative {label} {Fraction(delta_num, scale)} at {bt}")
-    point = RoundedPoint(point.alpha, point.scaled, point.den, point.xi,
-                         value=Fraction(f_num, scale))
-    return CorrectionResult(bt, Fraction(delta_num, scale), point, fmax,
-                            Fraction(s, point.den**2))
+    return CorrectionResult(Fraction(delta_num, scale), point, fmax,
+                            Fraction(f_num, scale))
 
 
 @dataclass(frozen=True)
@@ -604,6 +592,8 @@ def verify_trigonal_nodal_max(bt: BoundaryType, margin: int = 3) -> bool:
     attained (both critical points being integral for admissible types).
     The scan uses the integer 4 f1, first proved equal to 4 ``nodal_f1``.
     """
+    if margin < 0:
+        raise DomainError("margin must be >= 0")
     _, effective_max = trigonal_nodal_rays(bt)
     l, b = bt.l, bt.params.b
     for z in _NODAL_POINTS:

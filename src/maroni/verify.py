@@ -8,7 +8,7 @@ and the test suite agree by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, lattice
@@ -21,7 +21,7 @@ from .combinatorics import (
     gcd_profile,
     make_boundary_type,
 )
-from .errors import ApplicabilityError
+from .errors import ApplicabilityError, DomainError
 
 # fixed check ranges: the lattice oracles run at g = (d-1)k, k in LATTICE_KS,
 # on chains with m <= LATTICE_MAX_LCM
@@ -30,6 +30,9 @@ LATTICE_MAX_LCM = 6
 PATEL_MAX_K = 10
 WE_SQUARE_MAX_D = 12
 TABLE2_GS = range(4, 11, 2)
+# the joint box dynamic program costs O(m (2r+1)^4) per type at radius r,
+# so larger radii are rejected before any check runs
+MAX_RADIUS = 12
 
 # the fourteen positive single-twist corrections for d = 3, 4, 5, keyed by
 # (d, parts, j mod 2(d-1))
@@ -173,7 +176,7 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             if corr1 != st - res1.delta:
                 corr1_id.fail(str(bt))
             nonneg.count()
-            if res1.delta < 0 or Fraction(bt.m, 4) - res1.sum_sq < 0:
+            if res1.delta < 0 or Fraction(bt.m, 4) - res1.point.sum_sq < 0:
                 nonneg.fail(f"single twist at {bt}")
             try:
                 res2 = lattice.correction_ln(bt)
@@ -213,11 +216,11 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             if explore_ties:  # equal rounded points give equal corrections
                 tie_agree.count()
                 tied = lattice.single_round(bt, explore_ties=True)
-                if tied != replace(res1.point, value=None):
+                if tied != res1.point:
                     tie_agree.fail(f"single twist at {bt}")
                 if res2 is not None:
                     tied = lattice.joint_round(bt, explore_ties=True)
-                    if tied != replace(res2.point, value=None):
+                    if tied != res2.point:
                         tie_agree.fail(f"joint twist at {bt}")
 
     results = [corr1_id, corr2_id, nonneg, symmetry, cvc, degrees]
@@ -241,6 +244,8 @@ def run_we_square_check() -> CheckResult:
 
 def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
     """Brute-force integer-maximum oracles over an enumerated range."""
+    if radius > MAX_RADIUS:
+        raise DomainError(f"radius must be <= {MAX_RADIUS}, got {radius}")
     single = CheckResult(f"single-twist integer maximum (radius {radius})")
     joint = CheckResult(f"joint-twist integer maximum (radius {radius})")
     effective = CheckResult("twisted divisors effective with no fibre part")

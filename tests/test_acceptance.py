@@ -126,7 +126,7 @@ def test_criterion_5_cross_formula_identities():
                 res1 = correction_n(bt)
                 if sigma_corr1(bt) != sigma_st(bt) - res1.delta:
                     failures.append(f"corr1 identity: {params} j={bt.j} mu={bt.mu}")
-                if res1.delta < 0 or Fraction(bt.m, 4) - res1.sum_sq < 0:
+                if res1.delta < 0 or Fraction(bt.m, 4) - res1.point.sum_sq < 0:
                     failures.append(f"corr1 bounds: {params} j={bt.j} mu={bt.mu}")
                 try:
                     res2 = correction_ln(bt)

@@ -217,7 +217,7 @@ def test_degree_guard_rejects_inconsistent_type():
 
     params = HurwitzParams(3, 4)
     bad = BoundaryType(params, j=4, mu=Partition((3,)), q=1, r=1, c=2,
-                       rprime=1, cprime=0)
+                       cprime=0)
     with pytest.raises(InvariantError):
         a_standard(bad)
 

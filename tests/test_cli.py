@@ -136,6 +136,22 @@ def test_run_suites_aggregator():
     assert "integer maximum" in names and "table1" in names
 
 
+def test_verify_rejects_a_radius_above_the_cap(monkeypatch, capsys):
+    # the joint box DP grows as (2r+1)^4 with the radius, so a radius past
+    # the cap is a usage error, raised before any check runs
+    from maroni import lattice
+    from maroni.verify import MAX_RADIUS
+
+    def forbidden(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(lattice, "verify_integer_max", forbidden)
+    assert main(["verify", "--radius", str(MAX_RADIUS + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: radius must be <= {MAX_RADIUS}, got {MAX_RADIUS + 1}\n"
+
+
 def test_verify_identities_small_range():
     code, text = run_cli("verify", "--suite", "identities",
                          "--max-d", "4", "--max-g", "6")

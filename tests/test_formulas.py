@@ -181,38 +181,38 @@ def test_sigma_min_provenance():
 
 
 def test_build_table_d3_g2():
-    table = build_table(HurwitzParams(3, 2), "st")
-    keys = [(r.bt.j, r.bt.mu.parts) for r in table.rows]
+    rows = build_table(HurwitzParams(3, 2), "st")
+    keys = [(r.bt.j, r.bt.mu.parts) for r in rows]
     assert keys == [
         (2, (3,)), (2, (1, 1, 1)), (3, (2, 1)), (4, (3,)), (4, (1, 1, 1)),
     ]
-    by_key = {k: r.coefficient for k, r in zip(keys, table.rows)}
+    by_key = {k: r.coefficient for k, r in zip(keys, rows)}
     assert by_key[(4, (1, 1, 1))] == Fraction(1, 7)
-    assert all(r.provenance == "-" for r in table.rows)
+    assert all(r.provenance == "-" for r in rows)
 
 
 def test_build_table_min_below_st():
     for d, g in [(3, 2), (3, 4), (4, 3), (5, 4)]:
         params = HurwitzParams(d, g)
-        st_rows = build_table(params, "st").rows
-        min_rows = build_table(params, "min").rows
+        st_rows = build_table(params, "st")
+        min_rows = build_table(params, "min")
         assert len(st_rows) == len(min_rows)
         for a, b in zip(st_rows, min_rows):
             assert b.coefficient <= a.coefficient
 
 
 def test_build_table_corr2_only_applicable():
-    table = build_table(HurwitzParams(4, 3), "corr2")
-    assert table.rows
-    for row in table.rows:
+    rows = build_table(HurwitzParams(4, 3), "corr2")
+    assert rows
+    for row in rows:
         assert row.bt.mu.has_unit_part
         assert row.provenance == CONDITIONAL_TAIL
 
 
 def test_build_table_d4_g3_contains_imbalance_one():
-    table = build_table(HurwitzParams(4, 3), "st")
+    rows = build_table(HurwitzParams(4, 3), "st")
     row = next(
-        r for r in table.rows if (r.bt.j, r.bt.mu.parts) == (5, (4,))
+        r for r in rows if (r.bt.j, r.bt.mu.parts) == (5, (4,))
     )
     assert row.bt.c == 1
     assert row.coefficient == sigma_st(row.bt)

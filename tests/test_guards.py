@@ -13,11 +13,19 @@
 4. ``verify`` builds each object once: with the tie search on, the
    identity suite still builds one correction per twist and type, and
    checks the tie search on the rounded points alone.
+5. The ``classes`` bytes of every variant stay as they are: one sha256
+   per variant over the csv output for d = 3..8, k = 1, 2.
+6. The package is stdlib-only: no declared dependency, and every absolute
+   import in ``src/maroni`` is a standard-library module or ``maroni``.
 """
 
+import ast
 import contextlib
+import hashlib
 import io
 import runpy
+import sys
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,9 +37,8 @@ from maroni import formulas, verify
 from maroni.cli import main
 from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
 
-WORKLOADS = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-)["WORKLOADS"]
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -53,7 +60,7 @@ def test_engine_never_calls_the_matrix_pairing(monkeypatch):
     for d in range(3, 6):
         for k in (1, 2):
             params = HurwitzParams(d, (d - 1) * k)
-            assert formulas.build_table(params, "min").rows
+            assert formulas.build_table(params, "min")
             for bt in enumerate_boundary_types(params):
                 joint = bt.mu.has_unit_part
                 for explore_ties in (False, True):
@@ -157,3 +164,47 @@ def test_tie_check_builds_no_second_correction(monkeypatch):
     # the tie check itself still runs the tie search, once per twist
     assert [bt for bt, ties in calls["single_round"] if ties] == types
     assert [bt for bt, ties in calls["joint_round"] if ties] == applicable
+
+
+# sha256 of the concatenated `classes --format csv` output, d = 3..8 and
+# k = 1, 2 in that order (812 rows per variant, 558 for corr2)
+CLASSES_SHA256 = {
+    "st": "c268d73a09e8b04567e9ccaac2b1665732926822fbccf88291b33e7d0136972e",
+    "corr1": "76e6d634e98a05779902f0ed3c8b907592e970c72c601c333b1fb60f2ec0f352",
+    "corr2": "939a0dd3e0fbda99c62ac11f0405616310b22fca74a4823963f6dfd363cacb2b",
+    "min": "a76f6e2d650efae30a13a4d7de12d8844f9402b1f09a606d176b2d2f09117e30",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CLASSES_SHA256))
+def test_classes_bytes_of_every_variant_are_pinned(variant):
+    digest = hashlib.sha256()
+    for d in range(3, 9):
+        for k in (1, 2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["classes", "--d", str(d), "--g", str((d - 1) * k),
+                             "--variant", variant, "--format", "csv"])
+            assert code == 0
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == CLASSES_SHA256[variant]
+
+
+def test_package_is_stdlib_only():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+    sources = sorted((ROOT / "src" / "maroni").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "maroni", (
+                    f"{path.name} imports {name}"
+                )

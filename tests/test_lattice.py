@@ -199,7 +199,7 @@ ORACLE_MAX_TIES = 8  # its tie mode walks 2^ties branches
 
 def _fields(point, joint=False):
     out = (point.alpha, point.e, point.sum_sq)
-    return out + (point.xi, point.eprime) if joint else out
+    return out + (point.xi,) if joint else out  # xi = x + e' fixes e' too
 
 
 def _ties(point):
@@ -216,7 +216,7 @@ def admissible_types(draw, max_d=30):
     while left:
         parts.append(draw(st.integers(min_value=1, max_value=left)))
         left -= parts[-1]
-    mu = Partition.of(*parts)
+    mu = Partition(tuple(sorted(parts, reverse=True)))
     assume(mu.m <= ORACLE_MAX_M)
     params = HurwitzParams(d, (d - 1) * draw(st.integers(min_value=1, max_value=3)))
     parity = (d - mu.n) % 2
@@ -278,8 +278,8 @@ def test_correction_table_anchors():
 def test_correction_components():
     res = correction_n(bt_of(4, 3, 5, (4,)))
     assert res.fmax == Fraction(7, 2)
-    assert res.sum_sq == Fraction(1, 3)
-    assert res.point.value == 3  # delta = 3 - mc/2 = 3 - 2
+    assert res.point.sum_sq == Fraction(1, 3)
+    assert res.value == 3  # delta = 3 - mc/2 = 3 - 2
 
 
 def test_correction_depends_on_residue_only():
@@ -294,7 +294,7 @@ def test_correction_depends_on_residue_only():
                     continue
                 lo = correction_n(make_boundary_type(params, j, mu))
                 hi = correction_n(make_boundary_type(params, j + period, mu))
-                assert lo.delta == hi.delta and lo.sum_sq == hi.sum_sq
+                assert lo.delta == hi.delta and lo.point.sum_sq == hi.point.sum_sq
 
 
 def test_integer_max_examples():
@@ -370,6 +370,29 @@ def test_scan_radius_validation():
         verify_integer_max(bt, radius=-1)
 
 
+def test_joint_boxes_at_the_radius_cap_stay_within_budget():
+    # the joint box DP compares every state with every state of the box
+    # before it; count those predecessor pairs at verify's radius cap over
+    # the default lattice range (max_d 5) without running the DP.  About
+    # 1.7e7 pairs, 2.5 s of verify_joint_max on a shared 2-core host; the
+    # count grows as (2r+1)^4, so radius 50 would be some 160 times that
+    from maroni.verify import LATTICE_KS, LATTICE_MAX_LCM, MAX_RADIUS
+
+    r, types, pairs = MAX_RADIUS, 0, 0
+    for d in range(3, 6):
+        for k in LATTICE_KS:
+            for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+                if bt.m > LATTICE_MAX_LCM or not bt.mu.has_unit_part:
+                    continue
+                pt = joint_round(bt)
+                sizes = [sum(x >= 0 for _ in _box(a, r) for x in _box(xi, r))
+                         for a, xi in zip(pt.alpha, pt.xi)]
+                types += 1
+                pairs += sum(p * q for p, q in zip(sizes, sizes[1:])) + sizes[-1]
+    assert types == 74
+    assert pairs <= 2 * 10**7
+
+
 # ---------------------------------------------------------------------------
 # joint corrections
 
@@ -411,7 +434,7 @@ def test_joint_round_tail_cases():
     assert bt.c == 0
     pt = joint_round(bt)
     assert pt.e == (-HALF,)
-    assert pt.eprime == (Fraction(0),)
+    assert pt.xi[0] - Fraction(bt.l, 2 * (bt.d - 2)) == 0  # e'_0 = xi_0 - x_0
     assert pt.xi == (g2 + 1,)
 
     # g2 even: c = -2 and the target (g2+1)/2 is again a half-integer
@@ -429,8 +452,9 @@ def test_joint_round_parity_rule():
             continue
         pt = joint_round(bt)
         m = bt.m
-        for i, (e, ep) in enumerate(zip(pt.e, pt.eprime)):
-            assert ep - e == (0 if (m - i) % 2 == 0 else HALF)
+        for i, e in enumerate(pt.e):  # e'_i = xi_i - x_i
+            x = Fraction((m - i) * bt.l - bt.delta[i], 2 * (bt.d - 2))
+            assert pt.xi[i] - x - e == (0 if (m - i) % 2 == 0 else HALF)
         assert all(x >= 0 for x in pt.xi)
 
 
@@ -462,7 +486,7 @@ def test_joint_value_matches_closed_form():
         nvec = [Fraction(gi + xi, bt.d - 1) for gi, xi in zip(g, x)]
         assert joint_f_value(bt, nvec, x) == fmax_ln(bt)
         res = correction_ln(bt)
-        assert res.point.value == fmax_ln(bt) + ferr_ln(bt, res.sum_sq)
+        assert res.value == fmax_ln(bt) + ferr_ln(bt, res.point.sum_sq)
 
 
 def test_joint_correction_tail_values():
@@ -536,7 +560,7 @@ def test_integer_corrections_match_fraction_expressions(bt):
     value = fmax - Fraction(bt.d - 1, 2) * sum_sq
     for ties in (False, True):
         res = correction_n(bt, ties)
-        assert (res.delta, res.fmax, res.sum_sq, res.point.value) == (
+        assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
             value + fibre, fmax, sum_sq, value)
     if not bt.mu.has_unit_part:
         return
@@ -549,7 +573,7 @@ def test_integer_corrections_match_fraction_expressions(bt):
         fmax = oracle_fmax_ln(bt)
         value = fmax + ferr_ln(bt, joint.sum_sq)
         res = correction_ln(bt, ties)
-        assert (res.delta, res.fmax, res.sum_sq, res.point.value) == (
+        assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
             value + fibre, fmax, joint.sum_sq, value)
 
 
@@ -693,6 +717,14 @@ def trigonal_types(ks=range(1, 7)):
         for bt in enumerate_boundary_types(HurwitzParams(3, 2 * k)):
             if bt.mu.parts == (1, 1, 1):
                 yield bt
+
+
+def test_nodal_scan_rejects_a_negative_margin():
+    # a negative margin shrinks the scan box below the maximum, which would
+    # read as a failed check rather than a usage error
+    bt = make_boundary_type(HurwitzParams(3, 4), 4, Partition((1, 1, 1)))
+    with pytest.raises(DomainError):
+        verify_trigonal_nodal_max(bt, -1)
 
 
 def test_nodal_integer_scan_matches_fraction_oracle():
