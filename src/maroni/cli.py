@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import formulas, verify
-from .combinatorics import HurwitzParams
+from .combinatorics import HurwitzParams, Partition
 from .errors import ApplicabilityError, DomainError, InvariantError
 
 CSV_HEADER = "j,mu,n,m,r,c,coefficient,variant,provenance"
@@ -76,7 +76,7 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
 
 def cmd_classes(args, out) -> int:
     params = _params(args)
-    table = formulas.build_table(params, args.variant, args.tie_exhaustive)
+    table = formulas.build_table(params, args.variant)
     # build_table computes every row before the first line is written; the
     # rendered lines are produced lazily, one per row, as _emit_rows reads them
     rows = (
@@ -109,10 +109,8 @@ def cmd_table1(args, out) -> int:
         delta = computed[(d, parts, residue)]
         ok = delta == expected
         failures += 0 if ok else 1
-        mu_text = "(" + "|".join(map(str, parts)) + ")"
-        rows.append(
-            [d, mu_text, residue, delta, expected, "PASS" if ok else "FAIL"]
-        )
+        rows.append([d, str(Partition(parts)), residue, delta, expected,
+                     "PASS" if ok else "FAIL"])
     _emit_rows(["d", "mu", "j_mod", "sigma", "expected", "status"],
                rows, args.format, out)
     return 1 if failures else 0
@@ -185,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classes.add_argument("--d", type=int, required=True)
     p_classes.add_argument("--g", type=int, required=True)
     p_classes.add_argument("--variant", choices=formulas.VARIANTS, default="st")
-    p_classes.add_argument("--tie-exhaustive", action="store_true")
     add_format(p_classes)
     p_classes.set_defaults(func=cmd_classes)
 

@@ -13,9 +13,11 @@ replaces it by
               - (1/(8(d-1))) sum (delta_{i-1} - delta_i)^2
               - ((d-1)/2) ( m/4 - sum (e_{i-1} - e_i)^2 ),
 
-with the residuals e_i of the lattice rounding of the critical twist; when
-the partition has a part equal to 1 (and the component over the l-side end
-of the chain is a rational tail of degree 1) the joint twist gives
+with the residuals e_i of the default lattice rounding of the critical
+twist (every tie choice gives the same sum, see ``lattice``; only ``verify``
+runs the tie search); when the partition has a part equal to 1 (and the
+component over the l-side end of the chain is a rational tail of degree 1)
+the joint twist gives
 
   sigma_corr2 = m ( (1/12)(d - sum 1/m_nu) + j(b-j)(d-2)/(8(b-1)(d-1)) )
               - (1/(8(d-2))) sum (delta_{i-1} - delta_i)^2
@@ -57,6 +59,8 @@ VARIANTS = (VARIANT_ST, VARIANT_CORR1, VARIANT_CORR2, VARIANT_MIN)
 CONDITIONAL_TAIL = "conditional:unit-tail"
 # one shared string, not one per row
 CORR2_MIN_PROVENANCE = f"{VARIANT_CORR2}({CONDITIONAL_TAIL})"
+# build_table rejects larger d before any row (11 603 types at d = 20, g = 19)
+MAX_D = 20
 
 
 def _hodge_local(bt: BoundaryType) -> Fraction:
@@ -98,10 +102,10 @@ def psi_coeff(bt: BoundaryType) -> Fraction:
     return Fraction(bt.m * bt.j * (b - bt.j), b - 1)
 
 
-def sigma_corr1(bt: BoundaryType, explore_ties: bool = False) -> Fraction:
+def sigma_corr1(bt: BoundaryType) -> Fraction:
     """Coefficient after the best single boundary-line-bundle twist."""
     d, m = bt.d, bt.m
-    point = lattice.single_round(bt, explore_ties)
+    point = lattice.single_round(bt)
     return (
         _local_term(bt)
         - Fraction(bt.delta_square_sum, 8 * (d - 1))
@@ -109,7 +113,7 @@ def sigma_corr1(bt: BoundaryType, explore_ties: bool = False) -> Fraction:
     )
 
 
-def sigma_corr2(bt: BoundaryType, explore_ties: bool = False) -> Fraction:
+def sigma_corr2(bt: BoundaryType) -> Fraction:
     """Coefficient after the best joint twist; needs a part equal to 1.
 
     The formula is orientation-dependent: j counts the branch points on the
@@ -117,7 +121,7 @@ def sigma_corr2(bt: BoundaryType, explore_ties: bool = False) -> Fraction:
     side.  Rows derived from it are conditional on the tail hypothesis.
     """
     d, m, l = bt.d, bt.m, bt.l
-    point = lattice.joint_round(bt, explore_ties)
+    point = lattice.joint_round(bt)
     return (
         _local_term(bt)
         - Fraction(bt.delta_square_sum, 8 * (d - 2))
@@ -126,9 +130,7 @@ def sigma_corr2(bt: BoundaryType, explore_ties: bool = False) -> Fraction:
     )
 
 
-def sigma_min(
-    bt: BoundaryType, explore_ties: bool = False
-) -> tuple[Fraction, str]:
+def sigma_min(bt: BoundaryType) -> tuple[Fraction, str]:
     """Row-wise minimum over the implemented formulas, with provenance.
 
     This under-approximates the full intersection over all twists: only the
@@ -137,10 +139,10 @@ def sigma_min(
     """
     values: list[tuple[Fraction, str]] = [
         (sigma_st(bt), VARIANT_ST),
-        (sigma_corr1(bt, explore_ties), VARIANT_CORR1),
+        (sigma_corr1(bt), VARIANT_CORR1),
     ]
     try:
-        values.append((sigma_corr2(bt, explore_ties), VARIANT_CORR2))
+        values.append((sigma_corr2(bt), VARIANT_CORR2))
     except ApplicabilityError:
         pass
     return min(values, key=lambda item: item[0])  # the first achiever wins
@@ -154,9 +156,7 @@ class TableRow:
     provenance: str
 
 
-def build_table(
-    params: HurwitzParams, variant: str, explore_ties: bool = False
-) -> tuple[TableRow, ...]:
+def build_table(params: HurwitzParams, variant: str) -> tuple[TableRow, ...]:
     """The coefficient rows of one variant over all canonical boundary types.
 
     The corr2 table keeps only the applicable types (a part equal to 1);
@@ -165,20 +165,22 @@ def build_table(
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
+    if params.d > MAX_D:
+        raise DomainError(f"d must be <= {MAX_D}, got {params.d}")
     rows: list[TableRow] = []
     for bt in enumerate_boundary_types(params):
         if variant == VARIANT_ST:
             rows.append(TableRow(bt, sigma_st(bt), variant, "-"))
         elif variant == VARIANT_CORR1:
-            rows.append(TableRow(bt, sigma_corr1(bt, explore_ties), variant, "-"))
+            rows.append(TableRow(bt, sigma_corr1(bt), variant, "-"))
         elif variant == VARIANT_CORR2:
             try:
-                value = sigma_corr2(bt, explore_ties)
+                value = sigma_corr2(bt)
             except ApplicabilityError:
                 continue
             rows.append(TableRow(bt, value, variant, CONDITIONAL_TAIL))
         else:
-            value, tag = sigma_min(bt, explore_ties)
+            value, tag = sigma_min(bt)
             prov = tag if tag != VARIANT_CORR2 else CORR2_MIN_PROVENANCE
             rows.append(TableRow(bt, value, variant, prov))
     return tuple(rows)

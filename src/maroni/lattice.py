@@ -26,7 +26,8 @@ D; by induction every alpha_t, E_t with t < i moves by 1, D, and every
 edge residual E_{t-1} - E_t with t < i, and whether it is tied, is
 unchanged.  Only edge (i, i+1) changes, from -D/2 to D/2, with the same
 square.  So the tie-exploring mode returns the default point, checking
-at each tied edge that the other integer gives the negated edge residual.
+at each tied edge that the other integer gives the negated edge residual;
+only ``verify`` runs it, and the corrections take the default point.
 
 When the partition has a part equal to 1 and the component over R_0
 through that point is a rational tail of degree 1, an effective upstairs
@@ -153,10 +154,9 @@ def round_chain(
 
     The targets are rationals, or integer numerators over ``den``.  The
     last coordinate is rounded with residual in [-1/2, 1/2), each earlier
-    one with residual within [-1/2, 1/2) of its successor's.  At a tie
-    every admissible choice gives the same sum (e_{i-1} - e_i)^2 (module
-    docstring), so ``explore_ties`` returns the same point and only checks
-    each tied edge's other choice.
+    one with residual within [-1/2, 1/2) of its successor's.  Every tie
+    choice gives the same sum (e_{i-1} - e_i)^2 (module docstring), so
+    ``explore_ties`` keeps this point and checks the other choice per tie.
 
     >>> round_chain([Fraction(1, 2)]).alpha
     (0,)
@@ -211,13 +211,13 @@ def fmax_n(bt: BoundaryType) -> Fraction:
     return Fraction(bt.m * bt.a**2 + bt.delta_square_sum, 8 * (bt.d - 1))
 
 
-def correction_n(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResult:
+def correction_n(bt: BoundaryType) -> CorrectionResult:
     """The reduction of the standard coefficient by the best single twist.
 
     delta = f(alpha) + (f_A - f_{A+(d-1)N}); the second term is -mc/2 when
     c > 0 and 0 otherwise.  ``_correction`` checks it with k = 1, X = 0.
     """
-    point = single_round(bt, explore_ties)
+    point = single_round(bt)
     return _correction(bt, point, None, fmax_n(bt), 1, 0, "correction")
 
 
@@ -435,7 +435,7 @@ def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
     return replace(point, xi=tuple(xi))
 
 
-def correction_ln(bt: BoundaryType, explore_ties: bool = False) -> CorrectionResult:
+def correction_ln(bt: BoundaryType) -> CorrectionResult:
     """The reduction of the standard coefficient by the best joint twist.
 
     delta = f_max + f_err + (f_A - f_{A+G}), f_err = -((d-2)/2) sum_sq - m/8,
@@ -443,7 +443,7 @@ def correction_ln(bt: BoundaryType, explore_ties: bool = False) -> CorrectionRes
     checks it with k = (d-1)(d-2) and defect m(d-1)k, and A + G = A +
     (d-1)N - X.
     """
-    point = joint_round(bt, explore_ties)
+    point = joint_round(bt)
     xs, _, _ = _joint_nums(bt)
     k = (bt.d - 1) * (bt.d - 2)
     return _correction(bt, point, xs, fmax_ln(bt), k, bt.m * (bt.d - 1) * k,

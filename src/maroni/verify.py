@@ -31,8 +31,10 @@ PATEL_MAX_K = 10
 WE_SQUARE_MAX_D = 12
 TABLE2_GS = range(4, 11, 2)
 # the joint box dynamic program costs O(m (2r+1)^4) per type at radius r,
-# so larger radii are rejected before any check runs
+# and the enumerated types grow fast with d, so radii outside 0..MAX_RADIUS
+# and max_d above MAX_D are rejected before any check runs
 MAX_RADIUS = 12
+MAX_D = 10
 
 # the fourteen positive single-twist corrections for d = 3, 4, 5, keyed by
 # (d, parts, j mod 2(d-1))
@@ -242,10 +244,14 @@ def run_we_square_check() -> CheckResult:
     return result
 
 
+def _check_radius(radius: int) -> None:
+    if not 0 <= radius <= MAX_RADIUS:
+        raise DomainError(f"radius must be in 0..{MAX_RADIUS}, got {radius}")
+
+
 def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
     """Brute-force integer-maximum oracles over an enumerated range."""
-    if radius > MAX_RADIUS:
-        raise DomainError(f"radius must be <= {MAX_RADIUS}, got {radius}")
+    _check_radius(radius)
     single = CheckResult(f"single-twist integer maximum (radius {radius})")
     joint = CheckResult(f"joint-twist integer maximum (radius {radius})")
     effective = CheckResult("twisted divisors effective with no fibre part")
@@ -278,6 +284,9 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
 
 def run_suites(suite: str, *, radius: int = 3, max_d: int = 5,
                max_g: int = 16, explore_ties: bool = False) -> list[CheckResult]:
+    _check_radius(radius)  # for every suite, not only the one that reads it
+    if max_d > MAX_D:
+        raise DomainError(f"max-d must be <= {MAX_D}, got {max_d}")
     out: list[CheckResult] = []
     if suite in ("lattice", "all"):
         out.extend(run_lattice_suite(max_d=max_d, radius=radius))

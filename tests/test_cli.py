@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -149,7 +150,115 @@ def test_verify_rejects_a_radius_above_the_cap(monkeypatch, capsys):
     assert main(["verify", "--radius", str(MAX_RADIUS + 1)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: radius must be <= {MAX_RADIUS}, got {MAX_RADIUS + 1}\n"
+    assert err == f"error: radius must be in 0..{MAX_RADIUS}, got {MAX_RADIUS + 1}\n"
+
+
+def _forbid_every_suite(monkeypatch):
+    import maroni.verify as verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in dir(verify):
+        if name.startswith("run_") and name != "run_suites":
+            monkeypatch.setattr(verify, name, forbidden)
+
+
+@pytest.mark.parametrize("radius", [-1, 100])
+@pytest.mark.parametrize("suite", ["lattice", "identities", "tables", "all"])
+def test_verify_rejects_a_radius_outside_the_range_for_every_suite(
+    monkeypatch, capsys, suite, radius
+):
+    from maroni.verify import MAX_RADIUS
+
+    _forbid_every_suite(monkeypatch)
+    assert main(["verify", "--suite", suite, "--radius", str(radius)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: radius must be in 0..{MAX_RADIUS}, got {radius}\n"
+
+
+@pytest.mark.parametrize("suite", ["lattice", "identities", "tables", "all"])
+def test_verify_rejects_a_max_d_above_the_cap(monkeypatch, capsys, suite):
+    from maroni.verify import MAX_D
+
+    _forbid_every_suite(monkeypatch)
+    assert main(["verify", "--suite", suite, "--max-d", str(MAX_D + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: max-d must be <= {MAX_D}, got {MAX_D + 1}\n"
+
+
+def test_verify_types_at_the_max_d_cap():
+    # counted without running a check; `run_suites("all", max_d=10)` took
+    # 3.4 s in process on a shared 2-core host
+    from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
+    from maroni.verify import (
+        LATTICE_KS, LATTICE_MAX_LCM, MAX_D, _params_range,
+    )
+
+    identity = [bt for params in _params_range(MAX_D, 16)
+                for bt in enumerate_boundary_types(params)]
+    lattice = [bt for d in range(3, MAX_D + 1) for k in LATTICE_KS
+               for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k))
+               if bt.m <= LATTICE_MAX_LCM]
+    assert (len(identity), max(bt.m for bt in identity)) == (2184, 30)
+    assert len(lattice) == 1631
+
+
+def test_classes_rejects_a_degree_above_the_cap(monkeypatch, capsys):
+    import maroni.formulas as formulas
+
+    def forbidden(params):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(formulas, "enumerate_boundary_types", forbidden)
+    d = formulas.MAX_D + 1
+    assert main(["classes", "--d", str(d), "--g", str(d - 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: d must be <= {formulas.MAX_D}, got {d}\n"
+
+
+def test_classes_types_at_the_degree_cap():
+    # counted without computing a row; `build_table` at the cap (d = 20,
+    # g = 19, variant min) took 3.3 s in process on a shared 2-core host
+    from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
+    from maroni.formulas import MAX_D
+
+    types = enumerate_boundary_types(HurwitzParams(MAX_D, MAX_D - 1))
+    assert (len(types), max(bt.m for bt in types)) == (11603, 420)
+
+
+def test_classes_has_no_tie_flag(capsys):
+    # the tie search runs only as the `verify --tie-exhaustive` check
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "--d", "4", "--g", "3", "--tie-exhaustive"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --tie-exhaustive" in err
+
+
+# sha256 of the stdout of the small table commands in every format
+TABLE_SHA256 = {
+    ("table1", "table"): "8c180073f1abfcdaec57c77e4106179c9e5a5ff4b50d7fb2ad370d78f0db7d8b",
+    ("table1", "csv"): "dd04ed7d2472876251ee09a5ce03636ee4c79a2224df1507da2d0a44be1ce929",
+    ("table1", "json"): "b865ae1bce40770adb2487b8402f65a24c215110672d669d3b071c4e8a3d78d3",
+    ("table2 --g 8", "table"): "06de2a030c5b3ce1312a45640dda808976fa28ddb0d25fb6dea6610c3fa5cff1",
+    ("table2 --g 8", "csv"): "7f593c8f24c63d4d31260d1e04b51f279884ea58d87a5eecf679463e9b4ecd5f",
+    ("table2 --g 8", "json"): "da152cddd31a329f09cf98bcccb6e65226d3e7357f5e1e53babcbc4821900fd7",
+    ("patel --d 5 --g 8", "table"): "74aaf2ad38eb68389110092ac567eb70b6d59fcc57c02f4fda7eadf08d3130c0",
+    ("patel --d 5 --g 8", "csv"): "07b31d9a270e0380747bd02ddf842fd70e45d13a935ebcb8e529915ef283ddbc",
+    ("patel --d 5 --g 8", "json"): "7fd3de073a3ea7ea1a7d3cf43e8b411a9a7bc9e02ab340173aa527642c489d96",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(TABLE_SHA256))
+def test_table_command_bytes_are_pinned(command, fmt):
+    code, text = run_cli(*command.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[command, fmt]
 
 
 def test_verify_identities_small_range():

@@ -17,6 +17,8 @@
    per variant over the csv output for d = 3..8, k = 1, 2.
 6. The package is stdlib-only: no declared dependency, and every absolute
    import in ``src/maroni`` is a standard-library module or ``maroni``.
+7. The tie search has one path, ``verify --tie-exhaustive`` down to the
+   roundings: no other function takes ``explore_ties``.
 """
 
 import ast
@@ -63,10 +65,11 @@ def test_engine_never_calls_the_matrix_pairing(monkeypatch):
             assert formulas.build_table(params, "min")
             for bt in enumerate_boundary_types(params):
                 joint = bt.mu.has_unit_part
-                for explore_ties in (False, True):
-                    lattice.correction_n(bt, explore_ties)
-                    if joint:
-                        lattice.correction_ln(bt, explore_ties)
+                lattice.correction_n(bt)
+                lattice.single_round(bt, explore_ties=True)
+                if joint:
+                    lattice.correction_ln(bt)
+                    lattice.joint_round(bt, explore_ties=True)
                 assert lattice.verify_integer_max(bt)
                 assert not joint or lattice.verify_joint_max(bt)
 
@@ -100,14 +103,15 @@ def test_each_correction_builds_standard_a_once(monkeypatch):
     for d in range(3, 6):
         for k in (1, 2):
             for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
-                corrections = [lattice.correction_n]
+                pairs = [(lattice.correction_n, lattice.single_round)]
                 if bt.mu.has_unit_part:
-                    corrections.append(lattice.correction_ln)
-                for correction in corrections:
-                    for explore_ties in (False, True):
-                        calls.clear()
-                        correction(bt, explore_ties)
-                        assert len(calls) == 1
+                    pairs.append((lattice.correction_ln, lattice.joint_round))
+                for correction, rounding in pairs:
+                    calls.clear()
+                    correction(bt)
+                    assert len(calls) == 1
+                    rounding(bt, explore_ties=True)  # the tie search builds no A
+                    assert len(calls) == 1
 
 
 def _small_types():
@@ -142,9 +146,9 @@ def test_tie_check_builds_no_second_correction(monkeypatch):
     def counted(name):
         original = getattr(lattice, name)
 
-        def wrapper(bt, explore_ties=False):
-            calls[name].append((bt, explore_ties))
-            return original(bt, explore_ties)
+        def wrapper(bt, **kwargs):
+            calls[name].append((bt, kwargs.get("explore_ties", False)))
+            return original(bt, **kwargs)
 
         return wrapper
 
@@ -159,8 +163,6 @@ def test_tie_check_builds_no_second_correction(monkeypatch):
     assert [bt for bt, _ in calls["correction_n"]] == types
     assert [bt for bt, _ in calls["correction_ln"]
             if bt.mu.has_unit_part] == applicable
-    assert not any(ties for name in ("correction_n", "correction_ln")
-                   for _, ties in calls[name])
     # the tie check itself still runs the tie search, once per twist
     assert [bt for bt, ties in calls["single_round"] if ties] == types
     assert [bt for bt, ties in calls["joint_round"] if ties] == applicable
@@ -208,3 +210,22 @@ def test_package_is_stdlib_only():
                 assert top in sys.stdlib_module_names or top == "maroni", (
                     f"{path.name} imports {name}"
                 )
+
+
+# every function that takes explore_ties: verify's tie check and the
+# roundings it calls; the corrections and the formulas take the default point
+TIE_SEARCH_PATH = {"run_suites", "run_identity_suite", "single_round",
+                   "joint_round", "round_chain"}
+
+
+def test_tie_search_is_a_parameter_only_of_its_one_path():
+    owners = set()
+    for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)]
+                if "explore_ties" in names:
+                    owners.add(node.name)
+    assert owners == TIE_SEARCH_PATH

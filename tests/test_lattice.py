@@ -553,28 +553,30 @@ def test_joint_quadratic_matches_pairing_functional():
 def test_integer_corrections_match_fraction_expressions(bt):
     # the scaled-integer corrections against the Fraction expressions they
     # replaced, with sum_sq from the Fraction rounding oracle and the fibre
-    # part of A from its shift normal form
+    # part of A from its shift normal form; the tie search returns the point
+    # each correction is built on
     fibre = shift_and_fibre_part(a_standard(bt).divisor)[1].coeffs[0]
     fmax = oracle_fmax_n(bt)
     sum_sq = oracle_round(oracle_critical_n(bt)).sum_sq
     value = fmax - Fraction(bt.d - 1, 2) * sum_sq
-    for ties in (False, True):
-        res = correction_n(bt, ties)
-        assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
-            value + fibre, fmax, sum_sq, value)
+    res = correction_n(bt)
+    assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
+        value + fibre, fmax, sum_sq, value)
+    assert single_round(bt, explore_ties=True) == res.point
     if not bt.mu.has_unit_part:
         return
     joint = oracle_joint_round(bt)
-    for ties in (False, True):
-        if min(joint.xi) < 0:
+    if min(joint.xi) < 0:
+        for build in (correction_ln, lambda bt: joint_round(bt, explore_ties=True)):
             with pytest.raises(InvariantError):
-                correction_ln(bt, ties)
-            continue
-        fmax = oracle_fmax_ln(bt)
-        value = fmax + ferr_ln(bt, joint.sum_sq)
-        res = correction_ln(bt, ties)
-        assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
-            value + fibre, fmax, joint.sum_sq, value)
+                build(bt)
+        return
+    fmax = oracle_fmax_ln(bt)
+    value = fmax + ferr_ln(bt, joint.sum_sq)
+    res = correction_ln(bt)
+    assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
+        value + fibre, fmax, joint.sum_sq, value)
+    assert joint_round(bt, explore_ties=True) == res.point
 
 
 # a unit-part type, so that both corrections apply
