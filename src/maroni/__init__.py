@@ -7,7 +7,7 @@ The package is organized bottom-up:
   their integer invariants;
 * :mod:`maroni.chain` - intersection theory on the resolved fibre chain;
 * :mod:`maroni.lattice` - the quadratic twist functionals, their rational
-  critical points, lattice rounding and brute-force maximum oracles;
+  critical points, lattice rounding and integer-maximum certificates;
 * :mod:`maroni.formulas` - the closed-form boundary coefficients and the
   published cross-checks;
 * :mod:`maroni.verify` / :mod:`maroni.cli` - property suites and the

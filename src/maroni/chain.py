@@ -61,26 +61,15 @@ class FibralDivisor:
                 f"expected {self.chain.m + 1} coefficients, got {len(self.coeffs)}"
             )
 
-    def __add__(self, other: "FibralDivisor") -> "FibralDivisor":
-        _check_same_chain(self, other)
-        return FibralDivisor(
-            self.chain, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __sub__(self, other: "FibralDivisor") -> "FibralDivisor":
         _check_same_chain(self, other)
         return FibralDivisor(
             self.chain, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "FibralDivisor":
-        return FibralDivisor(self.chain, tuple(-a for a in self.coeffs))
-
     def scaled(self, scalar) -> "FibralDivisor":
         s = Fraction(scalar)
         return FibralDivisor(self.chain, tuple(s * a for a in self.coeffs))
-
-    __rmul__ = scaled
 
 
 def fibral(chain: ChainModel, coeffs) -> FibralDivisor:
@@ -91,10 +80,6 @@ def fibral(chain: ChainModel, coeffs) -> FibralDivisor:
 def full_fibre(chain: ChainModel) -> FibralDivisor:
     """F = R_0 + ... + R_m, numerically trivial on the chain."""
     return fibral(chain, [1] * (chain.m + 1))
-
-
-def component(chain: ChainModel, i: int) -> FibralDivisor:
-    return fibral(chain, [1 if t == i else 0 for t in range(chain.m + 1)])
 
 
 def _check_same_chain(d1: FibralDivisor, d2: FibralDivisor) -> None:

@@ -225,6 +225,19 @@ def make_boundary_type(params: HurwitzParams, j: int, mu: Partition) -> Boundary
     )
 
 
+# the most boundary types one command may enumerate (linear in g at each d)
+MAX_TYPES = 20_000
+
+
+def check_type_count(param_range, label: str) -> int:
+    """The type count of a range (per mu, j = 2 + (d-n) % 2 .. b/2 by 2)."""
+    count = sum((params.b // 2 - 2 - (params.d - mu.n) % 2) // 2 + 1
+                for params in param_range for mu in enumerate_partitions(params.d))
+    if count > MAX_TYPES:
+        raise DomainError(f"{label} gives {count} boundary types (cap {MAX_TYPES})")
+    return count
+
+
 def enumerate_boundary_types(params: HurwitzParams) -> list[BoundaryType]:
     """All admissible canonical types: 2 <= j <= b/2, parity-filtered.
 

@@ -42,6 +42,7 @@ from .combinatorics import (
     BoundaryType,
     HurwitzParams,
     Partition,
+    check_type_count,
     enumerate_boundary_types,
     make_boundary_type,
 )
@@ -167,6 +168,7 @@ def build_table(params: HurwitzParams, variant: str) -> tuple[TableRow, ...]:
         raise DomainError(f"unknown variant {variant!r}")
     if params.d > MAX_D:
         raise DomainError(f"d must be <= {MAX_D}, got {params.d}")
+    check_type_count([params], f"g={params.g} at d={params.d}")
     rows: list[TableRow] = []
     for bt in enumerate_boundary_types(params):
         if variant == VARIANT_ST:

@@ -49,11 +49,18 @@ node terms W.R_i x_i + (2 A.R_i + (d-1)[i=0]) g_i, the separable edges
 -(d-2)(x' - x)^2 - (g' - g)^2 and the end pinned at (0, 0).  The single
 twist is this form at X = 0 (W = 0, states (0, (d-1)n)), where
 2(d-1) f(0, N) = (d-1) 2f(N).
-Its evaluator checks the value of every correction, and its exact chain
-dynamic program maximizes it over a radius box as an independent oracle.
-The naive product scan over the same box is the test reference for that
-program; ``f_twist`` and ``joint_f_value``, built on the ``Fraction``
-pairing, are the reference for the integer form.
+Its evaluator checks the value of every correction; ``f_twist`` and
+``joint_f_value``, built on the ``Fraction`` pairing, are its reference.
+
+Certificates.  In edge coordinates u_t = x_{t-1} - x_t, v_t = g_{t-1} - g_t
+(end pinned) the form is sum_t (P_t u_t + Q_t v_t - w0 u_t^2 - w1 v_t^2)
+with (P_t, Q_t) the prefix sums of the node terms and u_t + v_t = 0 mod
+d-1, so its per-edge maxima sum to a bound, ``edge_bound``.  The best v of
+a coset costs at most w1 (d-1)^2/4, so only u with w0 (u - P/(2w0))^2 <=
+w0/4 + w1 (d-1)^2/4 are tried, each with the two coset points around
+Q/(2w1).  The bound is the single twist's exact maximum (u = 0) and drops
+xi >= 0 for the joint one; only a rounded point below it goes to the
+radius-box dynamic program ``box_max`` (tested against the naive scan).
 
 Scales.  Each correction is an integer over the scale 8(d-1)k, k = 1 for
 the single twist and (d-1)(d-2) for the joint one, with S = D^2 sum_sq and
@@ -70,7 +77,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .chain import (
     ChainModel,
@@ -92,18 +99,14 @@ class RoundedPoint:
 
     ``alpha`` are the rounded chain coefficients and ``scaled`` the scaled
     residuals E_i = alpha_i den - N_i (E_m = 0 implicit); ``xi`` holds the
-    joint effective-divisor coordinates.  The residuals ``e`` (E_i/den)
-    and ``sum_sq`` = sum_{i=1}^m (e_{i-1} - e_i)^2 are derived on access.
+    joint effective-divisor coordinates.  With e_i = E_i/den, ``sum_sq`` =
+    sum_{i=1}^m (e_{i-1} - e_i)^2 is derived on access.
     """
 
     alpha: tuple[int, ...]
     scaled: tuple[int, ...]
     den: int
     xi: tuple[int, ...] | None = None
-
-    @property
-    def e(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(s, self.den) for s in self.scaled)
 
     @property
     def scaled_sum_sq(self) -> int:
@@ -263,10 +266,8 @@ class ChainQuadratic:
 
     def value(self, states) -> int:
         (w0, w1), states = self.weights, [*states, (0, 0)]
-        return sum(p * x + q * g for (p, q), (x, g) in zip(self.linear, states)) - sum(
-            w0 * (xp - x) ** 2 + w1 * (gp - g) ** 2
-            for (xp, gp), (x, g) in itertools.pairwise(states)
-        )
+        return sum(p * x + q * g - w0 * (x - xn) ** 2 - w1 * (g - gn) ** 2
+                   for (p, q), (x, g), (xn, gn) in zip(self.linear, states, states[1:]))
 
     def box_max(self, boxes) -> int:
         """Exact maximum over the box by dynamic programming along the chain.
@@ -298,6 +299,31 @@ class ChainQuadratic:
             lines = [line(x, g, p * x + q * g + reach(lines, x, g)) for x, g in box]
         return reach(lines, 0, 0)
 
+    def edge_bound(self, mod: int, free_x: bool = True) -> int:
+        """The sum of per-edge maxima over states with x + g = 0 mod ``mod``.
+
+        Tries u with (2 w0 u - P)^2 <= w0^2 + w0 w1 mod^2, or u = 0 unless
+        ``free_x`` (module docstring).  On ``box_max``'s example, mod 1:
+
+        >>> ChainQuadratic(((0, 3), (0, 0)), weights=(0, 1)).edge_bound(1, False)
+        4
+        """
+        (w0, w1), bound, big_p, big_q = self.weights, 0, 0, 0
+        reach, step = isqrt(w0 * w0 + w0 * w1 * mod * mod), 2 * w1 * mod
+        for p, q in self.linear:
+            big_p, big_q = big_p + p, big_q + q
+            us = range(-((reach - big_p) // (2 * w0)),
+                       (big_p + reach) // (2 * w0) + 1) if free_x else (0,)
+            best = []
+            for u in us:  # the coset point of -u at or below Q/(2 w1), and the next
+                low = -u % mod
+                low += (big_q - 2 * w1 * low) // step * mod
+                high = low + mod
+                best.append(big_p * u - w0 * u * u + max(
+                    big_q * low - w1 * low * low, big_q * high - w1 * high * high))
+            bound += max(best)
+        return bound
+
 
 def twist_quadratic(bt: BoundaryType, degrees, xs=None) -> ChainQuadratic:
     """2(d-1) f(Z, N) on integer states (x_i, g_i = (d-1)n_i - x_i).
@@ -307,10 +333,10 @@ def twist_quadratic(bt: BoundaryType, degrees, xs=None) -> ChainQuadratic:
     ``degrees[i]``.  With ``xs`` None, W = 0 and on the states (0, (d-1)n)
     it is 2(d-1) f(N), the single twist as the joint form at X = 0.
     """
-    d, m = bt.d, bt.m
-    w_rows = component_degrees([-x for x in xs or [0] * m] + [0])
-    linear = tuple((w_rows[i], 2 * degrees[i] + (d - 1) * (i == 0)) for i in range(m))
-    return ChainQuadratic(linear, weights=(d - 2, 1))
+    d, q_col = bt.d, [2 * a for a in degrees[:-1]]
+    q_col[0] += d - 1
+    w_col = component_degrees([-x for x in xs] + [0]) if xs else itertools.repeat(0)
+    return ChainQuadratic(tuple(zip(w_col, q_col)), weights=(d - 2, 1))
 
 
 def twist_states(d: int, ns, xs=None) -> list[tuple[int, int]]:
@@ -323,18 +349,20 @@ def _radius_box(center: int, radius: int) -> range:
 
 
 def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
-    """Check by exhaustive box search that the rounded point maximizes f.
+    """Check that the rounded point maximizes f within the radius box.
 
-    Maximizes the twist form 2(d-1) f over every integer vector within
-    sup-distance ``radius`` of the rounded point; returns True iff nothing
-    exceeds its value there.
+    True at once if its twist form value 2(d-1) f reaches the edge bound,
+    here the exact global maximum; else True iff ``box_max`` finds nothing
+    larger within sup-distance ``radius`` of the point.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
     alpha = single_round(bt).alpha
     quad = twist_quadratic(bt, a_standard(bt).degrees)
-    boxes = [twist_states(bt.d, _radius_box(a, radius)) for a in alpha]
-    return quad.box_max(boxes) <= quad.value(twist_states(bt.d, alpha))
+    best = quad.value(twist_states(bt.d, alpha))
+    boxes = (twist_states(bt.d, _radius_box(a, radius)) for a in alpha)
+    certified = best == quad.edge_bound(bt.d - 1, free_x=False)
+    return certified or quad.box_max(boxes) <= best
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +479,22 @@ def correction_ln(bt: BoundaryType) -> CorrectionResult:
 
 
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
-    """Exhaustive box check of the joint integer maximum at (alpha, xi).
+    """Check that (alpha, xi) maximizes the joint twist within the radius box.
 
-    Integer perturbations of both coordinate blocks within the radius are
-    searched, keeping the effectivity constraint xi >= 0; True iff no point
-    exceeds the rounded value.
+    True at once if the point's value reaches the edge bound (which drops
+    xi >= 0); else True iff ``box_max`` finds nothing larger among the
+    integer moves of both coordinate blocks within the radius with xi >= 0.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
     point = joint_round(bt)
     xs, _, _ = _joint_nums(bt)
     quad, dm1 = twist_quadratic(bt, a_standard(bt).degrees, xs), bt.d - 1
-    boxes = [
-        [(x, dm1 * n - x) for n in _radius_box(a, radius)
-         for x in _radius_box(xi, radius) if x >= 0]
-        for a, xi in zip(point.alpha, point.xi)
-    ]
-    return quad.box_max(boxes) <= quad.value(twist_states(bt.d, point.alpha, point.xi))
+    best = quad.value(twist_states(bt.d, point.alpha, point.xi))
+    boxes = ([(x, dm1 * n - x) for n in _radius_box(a, radius)
+              for x in _radius_box(xi, radius) if x >= 0]
+             for a, xi in zip(point.alpha, point.xi))
+    return best == quad.edge_bound(dm1) or quad.box_max(boxes) <= best
 
 
 # ---------------------------------------------------------------------------

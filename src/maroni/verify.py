@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, lattice
-from .chain import ChainModel, a_standard, component, fibral, intersect
+from .chain import ChainModel, a_standard, fibral, intersect
 from .combinatorics import (
     HurwitzParams,
     Partition,
+    check_type_count,
     enumerate_boundary_types,
     enumerate_partitions,
     gcd_profile,
@@ -30,9 +31,9 @@ LATTICE_MAX_LCM = 6
 PATEL_MAX_K = 10
 WE_SQUARE_MAX_D = 12
 TABLE2_GS = range(4, 11, 2)
-# the joint box dynamic program costs O(m (2r+1)^4) per type at radius r,
-# and the enumerated types grow fast with d, so radii outside 0..MAX_RADIUS
-# and max_d above MAX_D are rejected before any check runs
+# the box dynamic program, the fallback for a point below its edge bound,
+# costs O(m (2r+1)^4) per joint type at radius r and the types grow fast
+# with d, so radii outside 0..MAX_RADIUS and max_d above MAX_D are rejected
 MAX_RADIUS = 12
 MAX_D = 10
 
@@ -210,8 +211,8 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
 
             degrees.count()
             std = a_standard(bt)  # raises InvariantError on any defect
-            a_div = std.divisor
-            if any(intersect(a_div, component(a_div.chain, i)) != deg
+            chain, coeffs = ChainModel(bt.m), [-a for a in std.alpha] + [0]
+            if any(sum(e * chain.pairing(t, i) for t, e in enumerate(coeffs)) != deg
                    for i, deg in enumerate(std.degrees)):
                 degrees.fail(f"{bt}: A.R_i differ from the matrix pairing")
 
@@ -287,6 +288,7 @@ def run_suites(suite: str, *, radius: int = 3, max_d: int = 5,
     _check_radius(radius)  # for every suite, not only the one that reads it
     if max_d > MAX_D:
         raise DomainError(f"max-d must be <= {MAX_D}, got {max_d}")
+    check_type_count(_params_range(max_d, max_g), f"max-g {max_g} at max-d {max_d}")
     out: list[CheckResult] = []
     if suite in ("lattice", "all"):
         out.extend(run_lattice_suite(max_d=max_d, radius=radius))

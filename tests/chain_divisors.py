@@ -10,6 +10,16 @@ from maroni.chain import ChainModel, FibralDivisor, fibral, full_fibre
 from maroni.combinatorics import BoundaryType
 
 
+def add(d1: FibralDivisor, d2: FibralDivisor) -> FibralDivisor:
+    """D1 + D2; the engine itself only ever takes differences."""
+    return d1 - d2.scaled(-1)
+
+
+def component(chain: ChainModel, i: int) -> FibralDivisor:
+    """The component R_i as a divisor."""
+    return fibral(chain, [1 if t == i else 0 for t in range(chain.m + 1)])
+
+
 def zero_divisor(chain: ChainModel) -> FibralDivisor:
     return fibral(chain, [0] * (chain.m + 1))
 

@@ -192,7 +192,9 @@ def test_verify_rejects_a_max_d_above_the_cap(monkeypatch, capsys, suite):
 def test_verify_types_at_the_max_d_cap():
     # counted without running a check; `run_suites("all", max_d=10)` took
     # 3.4 s in process on a shared 2-core host
-    from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
+    from maroni.combinatorics import (
+        MAX_TYPES, HurwitzParams, check_type_count, enumerate_boundary_types,
+    )
     from maroni.verify import (
         LATTICE_KS, LATTICE_MAX_LCM, MAX_D, _params_range,
     )
@@ -204,6 +206,8 @@ def test_verify_types_at_the_max_d_cap():
                if bt.m <= LATTICE_MAX_LCM]
     assert (len(identity), max(bt.m for bt in identity)) == (2184, 30)
     assert len(lattice) == 1631
+    # the type cap counts the same range without building it
+    assert check_type_count(_params_range(MAX_D, 16), "verify") == 2184 < MAX_TYPES
 
 
 def test_classes_rejects_a_degree_above_the_cap(monkeypatch, capsys):
@@ -223,11 +227,44 @@ def test_classes_rejects_a_degree_above_the_cap(monkeypatch, capsys):
 def test_classes_types_at_the_degree_cap():
     # counted without computing a row; `build_table` at the cap (d = 20,
     # g = 19, variant min) took 3.3 s in process on a shared 2-core host
-    from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
+    from maroni.combinatorics import (
+        MAX_TYPES, HurwitzParams, check_type_count, enumerate_boundary_types,
+    )
     from maroni.formulas import MAX_D
 
-    types = enumerate_boundary_types(HurwitzParams(MAX_D, MAX_D - 1))
+    params = HurwitzParams(MAX_D, MAX_D - 1)
+    types = enumerate_boundary_types(params)
     assert (len(types), max(bt.m for bt in types)) == (11603, 420)
+    assert check_type_count([params], "classes") == 11603 < MAX_TYPES
+
+
+def test_classes_rejects_a_genus_above_the_type_cap(monkeypatch, capsys):
+    # the work grows linearly in g: d = 20, g = 1900 has 601 293 types
+    import maroni.formulas as formulas
+    from maroni.combinatorics import MAX_TYPES
+
+    def forbidden(params):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(formulas, "enumerate_boundary_types", forbidden)
+    assert main(["classes", "--d", "20", "--g", "1900"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: g=1900 at d=20 gives 601293 boundary types "
+                   f"(cap {MAX_TYPES})\n")
+
+
+@pytest.mark.parametrize("suite", ["lattice", "identities", "tables", "all"])
+def test_verify_rejects_a_max_g_above_the_type_cap(monkeypatch, capsys, suite):
+    from maroni.combinatorics import MAX_TYPES
+
+    _forbid_every_suite(monkeypatch)
+    assert main(["verify", "--suite", suite, "--max-d", "10",
+                 "--max-g", "160"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: max-g 160 at max-d 10 gives 144872 boundary types "
+                   f"(cap {MAX_TYPES})\n")
 
 
 def test_classes_has_no_tie_flag(capsys):
@@ -280,9 +317,11 @@ def test_verify_fails_checks_that_cover_no_cases():
 
 
 def test_verify_degree_check_compares_matrix_pairing(monkeypatch):
-    import maroni.verify as verify
+    # the check pairs A's coefficients through the matrix entries
+    # ChainModel.pairing; a wrong entry must show as a failed check
+    from maroni.chain import ChainModel
 
-    monkeypatch.setattr(verify, "intersect", lambda d1, d2: 0)
+    monkeypatch.setattr(ChainModel, "pairing", lambda self, i, j: 0)
     code, text = run_cli("verify", "--suite", "identities",
                          "--max-d", "4", "--max-g", "6")
     assert code == 1

@@ -2,9 +2,11 @@ import pytest
 
 from gcd_table import d_table
 from maroni.combinatorics import (
+    MAX_TYPES,
     BoundaryType,
     HurwitzParams,
     Partition,
+    check_type_count,
     enumerate_boundary_types,
     enumerate_partitions,
     gcd_profile,
@@ -160,3 +162,18 @@ def test_boundary_type_is_hashable_and_frozen():
     assert bt.j == 2 and bt.j <= bt.l
     with pytest.raises(AttributeError):
         bt.j = 4
+
+
+def test_type_count_matches_the_enumeration():
+    for d in range(3, 9):
+        for k in range(1, 5):
+            params = HurwitzParams(d, (d - 1) * k)
+            count = check_type_count([params], "test")
+            assert count == len(enumerate_boundary_types(params))
+
+
+def test_type_count_rejects_a_range_above_the_cap():
+    params = HurwitzParams(20, 1900)
+    with pytest.raises(DomainError, match=rf"^g=1900 gives 601293 boundary types "
+                                          rf"\(cap {MAX_TYPES}\)$"):
+        check_type_count([params], "g=1900")

@@ -19,6 +19,9 @@
    import in ``src/maroni`` is a standard-library module or ``maroni``.
 7. The tie search has one path, ``verify --tie-exhaustive`` down to the
    roundings: no other function takes ``explore_ties``.
+8. The lattice maxima are certified by the edge bound: on the benchmark's
+   ``verify`` range no box dynamic program runs, and the ``classes`` path
+   runs neither the bound, the box program nor A.
 """
 
 import ast
@@ -33,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from chain_divisors import add, component
 import maroni.chain as chain
 import maroni.lattice as lattice
 from maroni import formulas, verify
@@ -51,6 +55,28 @@ def test_benchmark_command_prints_its_golden_output(name):
         code = main(list(workload.argv))
     assert code == 0
     assert out.getvalue() == workload.golden()
+
+
+def _forbid(monkeypatch, owner, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a forbidden function ran")
+
+    for name in names:
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+def test_verify_all_certifies_every_maximum_without_a_box(monkeypatch):
+    _forbid(monkeypatch, lattice.ChainQuadratic, "box_max")
+    test_benchmark_command_prints_its_golden_output("verify_all")
+
+
+@pytest.mark.parametrize("variant", formulas.VARIANTS)
+def test_classes_path_runs_no_bound_box_or_a(monkeypatch, variant):
+    _forbid(monkeypatch, lattice.ChainQuadratic, "edge_bound", "box_max")
+    _forbid(monkeypatch, lattice, "a_standard")
+    for d in range(3, 7):
+        for k in (1, 2):
+            assert formulas.build_table(HurwitzParams(d, (d - 1) * k), variant)
 
 
 def test_engine_never_calls_the_matrix_pairing(monkeypatch):
@@ -126,9 +152,9 @@ def test_reference_pairings_stay_exact_on_integers():
         nvec, xvec = list(range(1 - bt.m, 1)), list(range(bt.m))
         n_div = chain.fibral(model, [*nvec, 0])
         a_div = chain.a_standard(bt).divisor
-        divisors = [n_div, a_div, n_div + a_div, n_div - a_div, -n_div,
-                    n_div.scaled(2), chain.full_fibre(model),
-                    chain.component(model, 0)]
+        divisors = [n_div, a_div, add(n_div, a_div), n_div - a_div,
+                    n_div.scaled(-1), n_div.scaled(2), chain.full_fibre(model),
+                    component(model, 0)]
         assert all(type(c) is Fraction for div in divisors for c in div.coeffs)
         values = [chain.intersect(n_div, a_div), chain.intersect(a_div, a_div),
                   chain.theta_dot(a_div), lattice.f_twist(bt, n_div)]

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chain_divisors import shift_and_fibre_part, theta_representative
-from maroni.chain import ChainModel, a_standard, component, fibral, full_fibre
+from chain_divisors import add, component, shift_and_fibre_part, theta_representative
+from maroni.chain import ChainModel, a_standard, fibral, full_fibre
 from maroni.combinatorics import (
     HurwitzParams,
     Partition,
     enumerate_boundary_types,
+    enumerate_partitions,
     make_boundary_type,
 )
 from maroni.errors import ApplicabilityError, DomainError, InvariantError
@@ -45,6 +46,13 @@ from rounding_oracle import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def residuals(point):
+    """The residuals e_i = E_i/den of an integer point; oracle points store e."""
+    if isinstance(point, lattice.RoundedPoint):
+        return tuple(Fraction(s, point.den) for s in point.scaled)
+    return point.e
 
 
 def bt_of(d, g, j, parts):
@@ -95,7 +103,7 @@ def test_f_invariant_under_fibre_shift(seed, q):
         chain,
         [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(bt.m + 1)],
     )
-    shifted = n + full_fibre(chain).scaled(q)
+    shifted = add(n, full_fibre(chain).scaled(q))
     assert f_twist(bt, n) == f_twist(bt, shifted)
 
 
@@ -151,7 +159,7 @@ def test_fmax_bounds_f_near_critical_point():
 def test_round_chain_integer_targets():
     pt = round_chain([3, -2, 0, 7])
     assert pt.alpha == (3, -2, 0, 7)
-    assert all(e == 0 for e in pt.e)
+    assert all(e == 0 for e in residuals(pt))
     assert pt.sum_sq == 0
 
 
@@ -168,8 +176,8 @@ def test_round_chain_constraints_hold():
         m = rng.randint(1, 8)
         targets = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(m)]
         pt = round_chain(targets)
-        assert all(a - t == e for a, t, e in zip(pt.alpha, targets, pt.e))
-        chain = list(pt.e) + [Fraction(0)]
+        assert all(a - t == e for a, t, e in zip(pt.alpha, targets, residuals(pt)))
+        chain = list(residuals(pt)) + [Fraction(0)]
         assert -HALF <= chain[m - 1] < HALF
         assert all(abs(a - b) <= HALF for a, b in zip(chain, chain[1:]))
 
@@ -198,13 +206,13 @@ ORACLE_MAX_TIES = 8  # its tie mode walks 2^ties branches
 
 
 def _fields(point, joint=False):
-    out = (point.alpha, point.e, point.sum_sq)
+    out = (point.alpha, residuals(point), point.sum_sq)
     return out + (point.xi,) if joint else out  # xi = x + e' fixes e' too
 
 
 def _ties(point):
     """Tied edges: the default choice leaves an edge residual of -1/2."""
-    chain = [*point.e, 0]
+    chain = [*residuals(point), 0]
     return sum(a - b == -HALF for a, b in zip(chain, chain[1:]))
 
 
@@ -297,6 +305,20 @@ def test_correction_depends_on_residue_only():
                 assert lo.delta == hi.delta and lo.point.sum_sq == hi.point.sum_sq
 
 
+def test_corrections_depend_on_the_residue_class_across_genera():
+    # verify.residue_representatives takes one type per (mu, j mod 2(d-1));
+    # delta and S = den^2 sum_sq agree over k = 1..4 within each class
+    for d in range(3, 7):
+        seen = {}
+        for k in range(1, 5):
+            for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+                res = correction_n(bt)
+                key = (bt.mu, bt.j % (2 * (d - 1)))
+                got = (res.delta, res.point.scaled_sum_sq)
+                assert seen.setdefault(key, got) == got, (bt, key)
+        assert len(seen) == len(enumerate_partitions(d)) * (d - 1)
+
+
 def test_integer_max_examples():
     assert verify_integer_max(bt_of(3, 4, 4, (3,)), radius=3)
     assert verify_integer_max(bt_of(3, 2, 4, (1, 1, 1)), radius=5)
@@ -335,6 +357,144 @@ def test_integer_max_methods_agree():
             moved = [twist_states(bt.d, _box(a + 2 * radius + 1, radius))
                      for a in alpha]
             assert scan_max(quad, moved) == quad.box_max(moved) <= best
+
+
+def _joint_boxes(bt):
+    """The joint form, its value at the rounded point, and the point's boxes.
+
+    ``boxes(radius, shift_n, shift_x, nonneg)`` gives, per chain position,
+    the states (x, g) of every (n, x) within ``radius`` of the shifted
+    point, with x >= 0 kept only when ``nonneg``.
+    """
+    pt, quad = joint_round(bt), joint_quadratic(bt)
+
+    def boxes(radius, shift_n=0, shift_x=0, nonneg=True):
+        return [twist_states(bt.d, *zip(*itertools.product(
+                    _box(a + shift_n, radius),
+                    [x for x in _box(xi + shift_x, radius) if x >= 0 or not nonneg])))
+                for a, xi in zip(pt.alpha, pt.xi)]
+
+    return quad, quad.value(twist_states(bt.d, pt.alpha, pt.xi)), boxes
+
+
+def test_edge_bound_is_at_least_every_box_maximum():
+    # soundness: the edge bound is at least the exact box maximum around the
+    # rounded point and on boxes moved off it, for both twists; the single
+    # twist's bound is its global maximum, reached at the rounded point, and
+    # the joint one drops xi >= 0, so its moved boxes reach below x = 0
+    cases = joint = 0
+    for d, k in itertools.product(range(3, 9), (1, 2, 3)):
+        for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+            if bt.m > 6:
+                continue
+            cases += 1
+            alpha = single_round(bt).alpha
+            quad = single_quadratic(bt)
+            bound = quad.edge_bound(d - 1, free_x=False)
+            assert bound == quad.value(twist_states(d, alpha))
+            for radius in range(3):
+                around = [twist_states(d, _box(a, radius)) for a in alpha]
+                moved = [twist_states(d, _box(a - 2 * radius - 1, radius))
+                         for a in alpha]
+                assert quad.box_max(around) == bound >= quad.box_max(moved)
+            if not bt.mu.has_unit_part:
+                continue
+            joint += 1
+            quad, best, boxes = _joint_boxes(bt)
+            bound = quad.edge_bound(d - 1)
+            assert bound >= best
+            for radius in range(3):
+                assert bound >= quad.box_max(boxes(radius)) >= best
+                assert bound >= quad.box_max(
+                    boxes(radius, 2 * radius + 1, -2 * radius - 1, nonneg=False))
+    assert (cases, joint) == (1256, 928)
+
+
+def test_edge_bound_is_the_exact_maximum_of_one_edge():
+    # one edge is the whole form p x + q g - w0 x^2 - w1 g^2 on x + g = 0 mod
+    # M, so the bound must equal its maximum; every maximizer has |x| <=
+    # |p|/(2 w0) + sqrt(1/4 + w1 M^2/(4 w0)) < 16 and |g| <= |q|/(2 w1) + M,
+    # so the box below holds them all.  Weights and moduli are drawn wider
+    # than the twist forms' (d-2, 1), so that the u-window matters
+    rng = random.Random(16)
+    for _ in range(150):
+        p, q = rng.randint(-20, 20), rng.randint(-20, 20)
+        w0, w1, mod = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 6)
+        quad = lattice.ChainQuadratic(((p, q),), (w0, w1))
+        box = [(x, g) for x, g in itertools.product(range(-16, 17), repeat=2)
+               if (x + g) % mod == 0]
+        assert quad.edge_bound(mod) == max(quad.value([s]) for s in box)
+        assert quad.edge_bound(mod, free_x=False) == max(
+            quad.value([s]) for s in box if s[0] == 0)
+
+
+def _verify_all_lattice_types():
+    from maroni.verify import LATTICE_KS, LATTICE_MAX_LCM
+
+    for d in range(3, 6):
+        for k in LATTICE_KS:
+            for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+                if bt.m <= LATTICE_MAX_LCM:
+                    yield bt
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_oracles_fall_back_to_the_box_when_the_bound_is_missed(monkeypatch, shift):
+    # a bound one above the rounded value (the bound meets it on this range)
+    # sends every oracle to box_max, whose answer it must then return; so
+    # does a wrong bound below the value, which certifies nothing
+    bound = lattice.ChainQuadratic.edge_bound
+    box_max = lattice.ChainQuadratic.box_max
+    calls = []
+
+    def spy(self, boxes):
+        calls.append(self)
+        return box_max(self, boxes)
+
+    monkeypatch.setattr(lattice.ChainQuadratic, "edge_bound",
+                        lambda self, *a, **kw: bound(self, *a, **kw) + shift)
+    monkeypatch.setattr(lattice.ChainQuadratic, "box_max", spy)
+    oracles = 0
+    for bt in _verify_all_lattice_types():
+        alpha = single_round(bt).alpha
+        quad = single_quadratic(bt)
+        dp = box_max(quad, [twist_states(bt.d, _box(a, 3)) for a in alpha]) <= (
+            quad.value(twist_states(bt.d, alpha)))
+        assert verify_integer_max(bt, 3) == dp
+        oracles += 1
+        if bt.mu.has_unit_part:
+            quad, best, boxes = _joint_boxes(bt)
+            assert verify_joint_max(bt, 3) == (box_max(quad, boxes(3)) <= best)
+            oracles += 1
+    assert len(calls) == oracles == 110 + 74  # verify_all's two case counts
+
+
+def _lowering_move(quad, d, alpha, xi=None):
+    """The first +-1 move of one N-coordinate that lowers the form's value."""
+    best = quad.value(twist_states(d, alpha, xi))
+    for i, step in itertools.product(range(len(alpha)), (1, -1)):
+        moved = (*alpha[:i], alpha[i] + step, *alpha[i + 1:])
+        if quad.value(twist_states(d, moved, xi)) < best:
+            return moved
+    raise AssertionError("no lowering move")
+
+
+def test_oracles_reject_a_point_moved_below_the_maximum(monkeypatch):
+    # some +-1 moves reach other maximizers, so each case moves the point
+    # by a step that lowers its value: the bound is missed and the box,
+    # which holds the true rounded point, finds a larger value
+    single, joint = lattice.single_round, lattice.joint_round
+    for bt in _verify_all_lattice_types():
+        pt = single(bt)
+        moved = replace(pt, alpha=_lowering_move(single_quadratic(bt), bt.d, pt.alpha))
+        monkeypatch.setattr(lattice, "single_round", lambda bt: moved)
+        assert not verify_integer_max(bt, 1)
+        if bt.mu.has_unit_part:
+            pt = joint(bt)
+            moved = replace(pt, alpha=_lowering_move(
+                joint_quadratic(bt), bt.d, pt.alpha, pt.xi))
+            monkeypatch.setattr(lattice, "joint_round", lambda bt: moved)
+            assert not verify_joint_max(bt, 1)
 
 
 def test_single_quadratic_matches_pairing_functional():
@@ -433,7 +593,7 @@ def test_joint_round_tail_cases():
     bt = bt_of(3, g, 2 * (g - g2 + 1), (1, 1, 1))
     assert bt.c == 0
     pt = joint_round(bt)
-    assert pt.e == (-HALF,)
+    assert residuals(pt) == (-HALF,)
     assert pt.xi[0] - Fraction(bt.l, 2 * (bt.d - 2)) == 0  # e'_0 = xi_0 - x_0
     assert pt.xi == (g2 + 1,)
 
@@ -442,7 +602,7 @@ def test_joint_round_tail_cases():
     bt = bt_of(3, g, 2 * (g - g2 + 1), (1, 1, 1))
     assert bt.c == -2
     pt = joint_round(bt)
-    assert pt.e == (-HALF,)
+    assert residuals(pt) == (-HALF,)
     assert pt.xi == (g2 + 1,)
 
 
@@ -452,7 +612,7 @@ def test_joint_round_parity_rule():
             continue
         pt = joint_round(bt)
         m = bt.m
-        for i, e in enumerate(pt.e):  # e'_i = xi_i - x_i
+        for i, e in enumerate(residuals(pt)):  # e'_i = xi_i - x_i
             x = Fraction((m - i) * bt.l - bt.delta[i], 2 * (bt.d - 2))
             assert pt.xi[i] - x - e == (0 if (m - i) % 2 == 0 else HALF)
         assert all(x >= 0 for x in pt.xi)
