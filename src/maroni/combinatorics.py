@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import DomainError, ParityError
@@ -63,12 +63,17 @@ class Partition:
     """A partition of d: non-increasing positive parts m_1 >= ... >= m_n."""
 
     parts: tuple[int, ...]
+    # m = lcm(parts) and the gcd profile, derived once, outside eq/hash/repr
+    m: int = field(init=False, repr=False, compare=False)
+    profile: GcdProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.parts or any(p < 1 for p in self.parts):
             raise DomainError(f"parts must be positive, got {self.parts}")
         if any(a < b for a, b in itertools.pairwise(self.parts)):
             raise DomainError(f"parts must be non-increasing, got {self.parts}")
+        object.__setattr__(self, "m", lcm(*self.parts))
+        object.__setattr__(self, "profile", gcd_profile(self))
 
     @property
     def d(self) -> int:
@@ -77,10 +82,6 @@ class Partition:
     @property
     def n(self) -> int:
         return len(self.parts)
-
-    @property
-    def m(self) -> int:
-        return lcm(*self.parts)
 
     @property
     def has_unit_part(self) -> bool:
@@ -121,7 +122,8 @@ class GcdProfile:
     d_{nu,i} = gcd(m_nu, i) for i = 0..m, so d_{nu,0} = m_nu; since m_nu
     divides m also d_{nu,m} = m_nu, hence delta_0 = delta_m = 0.  The
     vector is symmetric, delta_i = delta_{m-i}.  Only delta and its step
-    square sum are stored; the partition is the ``gcd_profile`` cache key.
+    square sum are stored; the partition is the ``gcd_profile`` cache key, so
+    equal partitions share one profile.
     """
 
     delta: tuple[int, ...]
@@ -187,11 +189,11 @@ class BoundaryType:
 
     @property
     def delta(self) -> tuple[int, ...]:
-        return gcd_profile(self.mu).delta
+        return self.mu.profile.delta
 
     @property
     def delta_square_sum(self) -> int:
-        return gcd_profile(self.mu).step_square_sum
+        return self.mu.profile.step_square_sum
 
     def flipped(self) -> "BoundaryType":
         """The same unordered boundary type with the two sides swapped."""

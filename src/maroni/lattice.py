@@ -82,6 +82,7 @@ from math import isqrt, lcm
 from .chain import (
     ChainModel,
     FibralDivisor,
+    StandardA,
     a_standard,
     component_degrees,
     fibral,
@@ -121,16 +122,23 @@ class RoundedPoint:
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """The amount subtracted from the standard coefficient at one type.
+    """The amount ``delta`` subtracted from the standard coefficient at one type.
 
-    ``delta`` is that amount, ``point`` the rounded point it comes from,
-    ``fmax`` the critical value and ``value`` the functional at the point.
+    Integers over ``scale`` = 8(d-1)k: delta, the critical value ``fmax`` and
+    the functional's ``value`` at ``point``, with the A and twist form used.
     """
 
-    delta: Fraction
     point: RoundedPoint
-    fmax: Fraction
-    value: Fraction
+    std: StandardA
+    quad: ChainQuadratic
+    scale: int
+    delta_num: int
+    fmax_num: int
+    value_num: int
+
+    delta = property(lambda self: Fraction(self.delta_num, self.scale))
+    fmax = property(lambda self: Fraction(self.fmax_num, self.scale))
+    value = property(lambda self: Fraction(self.value_num, self.scale))
 
 
 def _round_scaled(nums, den: int, check_ties: bool) -> RoundedPoint:
@@ -214,31 +222,39 @@ def fmax_n(bt: BoundaryType) -> Fraction:
     return Fraction(bt.m * bt.a**2 + bt.delta_square_sum, 8 * (bt.d - 1))
 
 
+def _parts(bt: BoundaryType, point: RoundedPoint, xs=None):
+    """A rounded point with its A and twist form (branch numerators xs)."""
+    std = a_standard(bt)
+    return point, std, twist_quadratic(bt, std.degrees, xs)
+
+
 def correction_n(bt: BoundaryType) -> CorrectionResult:
     """The reduction of the standard coefficient by the best single twist.
 
     delta = f(alpha) + (f_A - f_{A+(d-1)N}); the second term is -mc/2 when
     c > 0 and 0 otherwise.  ``_correction`` checks it with k = 1, X = 0.
     """
-    point = single_round(bt)
-    return _correction(bt, point, None, fmax_n(bt), 1, 0, "correction")
+    return _correction(bt, *_parts(bt, single_round(bt)))
 
 
-def _correction(bt, point, xs, fmax, k: int, defect: int, label: str):
+def _correction(bt, point, std, quad) -> CorrectionResult:
     """The correction f + f_A at a rounded point, over the scale 8(d-1)k.
 
-    The twist form (branch numerators ``xs``) at the point's states is
-    2(d-1) f, and 8(d-1)k f_max = 4k value + S + defect is checked (module
-    docstring), then A + G against having non-negative coefficients
-    (g_i >= alpha_i of A), the residual bound m/4 >= sum_sq and delta >= 0.
-    The R_m coefficient of A + G is 0 by construction (A, N and X vanish
-    there), so an effective A + G has no fibre part left.
+    A point with xi is the joint twist: k = (d-1)(d-2), defect m(d-1)k.
+    8(d-1)k f_max = 4k value + S + defect is checked (module docstring),
+    then A + G >= 0 (g_i >= alpha_i of A; its R_m coefficient is 0, so no
+    fibre part is left), the residual bound m/4 >= sum_sq and delta >= 0.
     """
-    std = a_standard(bt)
+    if point.xi is None:
+        k, defect, fmax, label = 1, 0, fmax_n(bt), "correction"
+    else:
+        k = (bt.d - 1) * (bt.d - 2)
+        defect, fmax, label = bt.m * (bt.d - 1) * k, fmax_ln(bt), "joint correction"
     s, scale = point.scaled_sum_sq, 8 * (bt.d - 1) * k
     states = twist_states(bt.d, point.alpha, point.xi)
-    f_num = 4 * k * twist_quadratic(bt, std.degrees, xs).value(states)
-    if (f_num + s + defect) * fmax.denominator != fmax.numerator * scale:
+    f_num = 4 * k * quad.value(states)
+    fmax_num = f_num + s + defect
+    if fmax_num * fmax.denominator != fmax.numerator * scale:
         raise InvariantError(f"rounded {label} value mismatch at {bt}")
     if min(g - a for (_, g), a in zip(states, std.alpha)) < 0:
         raise InvariantError(f"A + G of the {label} not effective at {bt}")
@@ -247,8 +263,7 @@ def _correction(bt, point, xs, fmax, k: int, defect: int, label: str):
     delta_num = f_num - (bt.m * bt.c * scale // 2 if bt.c > 0 else 0)  # f + f_A
     if delta_num < 0:
         raise InvariantError(f"negative {label} {Fraction(delta_num, scale)} at {bt}")
-    return CorrectionResult(Fraction(delta_num, scale), point, fmax,
-                            Fraction(f_num, scale))
+    return CorrectionResult(point, std, quad, scale, delta_num, fmax_num, f_num)
 
 
 @dataclass(frozen=True)
@@ -351,18 +366,28 @@ def _radius_box(center: int, radius: int) -> range:
 def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
     """Check that the rounded point maximizes f within the radius box.
 
-    True at once if its twist form value 2(d-1) f reaches the edge bound,
-    here the exact global maximum; else True iff ``box_max`` finds nothing
-    larger within sup-distance ``radius`` of the point.
+    True if its twist form value 2(d-1) f reaches the edge bound, here the
+    exact global maximum, or if ``box_max`` finds nothing larger within
+    sup-distance ``radius`` of the point (then checked as ``correction_n``).
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    alpha = single_round(bt).alpha
-    quad = twist_quadratic(bt, a_standard(bt).degrees)
-    best = quad.value(twist_states(bt.d, alpha))
-    boxes = (twist_states(bt.d, _radius_box(a, radius)) for a in alpha)
-    certified = best == quad.edge_bound(bt.d - 1, free_x=False)
-    return certified or quad.box_max(boxes) <= best
+    return _is_box_max(bt, *_parts(bt, single_round(bt)), radius)
+
+
+def _is_box_max(bt, point, std, quad, radius: int) -> bool:
+    """Whether the point maximizes the twist form within the radius box.  A
+    maximum is then checked as its correction; those checks hold only at the
+    rounded point, so a point below the maximum is reported first."""
+    dm1, free_x = bt.d - 1, point.xi is not None
+    best = quad.value(twist_states(bt.d, point.alpha, point.xi))
+    boxes = ([(x, dm1 * n - x) for n in _radius_box(a, radius)
+              for x in _radius_box(xi, radius if free_x else 0) if x >= 0]
+             for a, xi in zip(point.alpha, point.xi or itertools.repeat(0)))
+    if best != quad.edge_bound(dm1, free_x) and quad.box_max(boxes) > best:
+        return False
+    _correction(bt, point, std, quad)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -471,30 +496,20 @@ def correction_ln(bt: BoundaryType) -> CorrectionResult:
     checks it with k = (d-1)(d-2) and defect m(d-1)k, and A + G = A +
     (d-1)N - X.
     """
-    point = joint_round(bt)
-    xs, _, _ = _joint_nums(bt)
-    k = (bt.d - 1) * (bt.d - 2)
-    return _correction(bt, point, xs, fmax_ln(bt), k, bt.m * (bt.d - 1) * k,
-                       "joint correction")
+    return _correction(bt, *_parts(bt, joint_round(bt), _joint_nums(bt)[0]))
 
 
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
     """Check that (alpha, xi) maximizes the joint twist within the radius box.
 
-    True at once if the point's value reaches the edge bound (which drops
-    xi >= 0); else True iff ``box_max`` finds nothing larger among the
-    integer moves of both coordinate blocks within the radius with xi >= 0.
+    True if the point's value reaches the edge bound (which drops xi >= 0),
+    or if ``box_max`` finds nothing larger among the integer moves of both
+    coordinate blocks within the radius with xi >= 0 (then checked as
+    ``correction_ln``).
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    point = joint_round(bt)
-    xs, _, _ = _joint_nums(bt)
-    quad, dm1 = twist_quadratic(bt, a_standard(bt).degrees, xs), bt.d - 1
-    best = quad.value(twist_states(bt.d, point.alpha, point.xi))
-    boxes = ([(x, dm1 * n - x) for n in _radius_box(a, radius)
-              for x in _radius_box(xi, radius) if x >= 0]
-             for a, xi in zip(point.alpha, point.xi))
-    return best == quad.edge_bound(dm1) or quad.box_max(boxes) <= best
+    return _is_box_max(bt, *_parts(bt, joint_round(bt), _joint_nums(bt)[0]), radius)
 
 
 # ---------------------------------------------------------------------------

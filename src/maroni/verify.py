@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, lattice
-from .chain import ChainModel, a_standard, fibral, intersect
+from .chain import ChainModel, component_degrees
 from .combinatorics import (
     HurwitzParams,
     Partition,
     check_type_count,
     enumerate_boundary_types,
     enumerate_partitions,
-    gcd_profile,
     make_boundary_type,
 )
 from .errors import ApplicabilityError, DomainError
@@ -178,8 +177,11 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             corr1_id.count()
             if corr1 != st - res1.delta:
                 corr1_id.fail(str(bt))
+            # _correction already raises on either (exit 3, naming the type),
+            # so this line can fail only if that check is weakened
             nonneg.count()
-            if res1.delta < 0 or Fraction(bt.m, 4) - res1.point.sum_sq < 0:
+            pt = res1.point
+            if res1.delta_num < 0 or bt.m * pt.den**2 < 4 * pt.scaled_sum_sq:
                 nonneg.fail(f"single twist at {bt}")
             try:
                 res2 = lattice.correction_ln(bt)
@@ -190,7 +192,7 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
                 if formulas.sigma_corr2(bt) != st - res2.delta:
                     corr2_id.fail(str(bt))
                 nonneg.count()
-                if res2.delta < 0:
+                if res2.delta_num < 0:
                     nonneg.fail(f"joint twist at {bt}")
 
             flip = bt.flipped()
@@ -210,7 +212,7 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
                 cvc.fail(str(bt))
 
             degrees.count()
-            std = a_standard(bt)  # raises InvariantError on any defect
+            std = res1.std  # a_standard raised InvariantError on any defect
             chain, coeffs = ChainModel(bt.m), [-a for a in std.alpha] + [0]
             if any(sum(e * chain.pairing(t, i) for t, e in enumerate(coeffs)) != deg
                    for i, deg in enumerate(std.degrees)):
@@ -238,9 +240,9 @@ def run_we_square_check() -> CheckResult:
     for d in range(1, WE_SQUARE_MAX_D + 1):
         for mu in enumerate_partitions(d):
             result.count()
-            profile = gcd_profile(mu)
-            w = fibral(ChainModel(mu.m), profile.delta)
-            if intersect(w, w) != -profile.step_square_sum:
+            delta = mu.profile.delta  # W_E = sum delta_i R_i, paired by the matrix rows
+            pairing = sum(e * deg for e, deg in zip(delta, component_degrees(delta)))
+            if pairing != -mu.profile.step_square_sum:
                 result.fail(f"mu={mu}")
     return result
 
@@ -263,17 +265,18 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
             for bt in enumerate_boundary_types(params):
                 if bt.m > LATTICE_MAX_LCM:
                     continue
+                # each oracle checks effectivity (raising) at a maximum it finds
                 single.count()
+                effective.count()
                 if not lattice.verify_integer_max(bt, radius):
                     single.fail(str(bt))
-                effective.count()
-                lattice.correction_n(bt)  # raises on any effectivity defect
+                    lattice.correction_n(bt)
                 try:
                     if not lattice.verify_joint_max(bt, radius):
                         joint.fail(str(bt))
+                        lattice.correction_ln(bt)
                     joint.count()
                     effective.count()
-                    lattice.correction_ln(bt)
                 except ApplicabilityError:
                     pass
                 if d == 3 and bt.mu.parts == (1, 1, 1):

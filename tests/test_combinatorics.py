@@ -1,3 +1,6 @@
+import itertools
+from math import gcd, lcm
+
 import pytest
 
 from gcd_table import d_table
@@ -162,6 +165,40 @@ def test_boundary_type_is_hashable_and_frozen():
     assert bt.j == 2 and bt.j <= bt.l
     with pytest.raises(AttributeError):
         bt.j = 4
+
+
+def test_derived_partition_data_is_fresh_and_invisible():
+    # m and the gcd profile are derived once per partition object; each must
+    # equal a fresh computation from the parts, and neither may show in
+    # equality, hashing or repr
+    for d in range(1, 13):
+        for mu in enumerate_partitions(d):
+            m = lcm(*mu.parts)
+            delta = tuple(d - sum(gcd(p, i) for p in mu.parts) for i in range(m + 1))
+            steps = sum((a - b) ** 2 for a, b in itertools.pairwise(delta))
+            assert (mu.m, mu.profile.delta, mu.profile.step_square_sum) == (
+                m, delta, steps), mu
+            assert repr(mu) == f"Partition(parts={mu.parts!r})"
+            assert hash(mu) == hash((mu.parts,))
+    params = HurwitzParams(5, 8)
+    types = enumerate_boundary_types(params)
+    for bt in types:
+        assert (bt.m, bt.delta, bt.delta_square_sum) == (
+            lcm(*bt.mu.parts), bt.mu.profile.delta, bt.mu.profile.step_square_sum)
+    # a set and a dict built from one enumeration answer for fresh objects
+    rebuilt = [make_boundary_type(params, bt.j, Partition(tuple(bt.mu.parts)))
+               for bt in types]
+    assert set(rebuilt) == set(types) and len(set(types)) == len(types)
+    labels = {bt: str(bt) for bt in types}
+    assert [labels[bt] for bt in rebuilt] == [str(bt) for bt in types]
+    assert [hash(a) for a in rebuilt] == [hash(b) for b in types]
+    assert [repr(a) for a in rebuilt] == [repr(b) for b in types]
+    partitions = {mu: mu.parts for mu in enumerate_partitions(7)}
+    assert all(partitions[Partition(mu.parts)] == mu.parts for mu in partitions)
+    bt = types[0]
+    assert repr(bt) == (
+        "BoundaryType(params=HurwitzParams(d=5, g=8), j=2, mu=Partition(parts=(5,)), "
+        f"q={bt.q}, r={bt.r}, c={bt.c}, cprime={bt.cprime})")
 
 
 def test_type_count_matches_the_enumeration():

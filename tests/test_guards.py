@@ -12,7 +12,9 @@
    ``int`` coefficient would turn ``theta_dot(a_div) / 2`` into a float).
 4. ``verify`` builds each object once: with the tie search on, the
    identity suite still builds one correction per twist and type, and
-   checks the tie search on the rounded points alone.
+   checks the tie search on the rounded points alone; the lattice suite
+   rounds and builds A once per twist and type, each correction a check
+   reads builds one A, and a partition derives its lcm once.
 5. The ``classes`` bytes of every variant stay as they are: one sha256
    per variant over the csv output for d = 3..8, k = 1, 2.
 6. The package is stdlib-only: no declared dependency, and every absolute
@@ -25,6 +27,7 @@
 """
 
 import ast
+import collections
 import contextlib
 import hashlib
 import io
@@ -38,6 +41,7 @@ import pytest
 
 from chain_divisors import add, component
 import maroni.chain as chain
+import maroni.combinatorics as combinatorics
 import maroni.lattice as lattice
 from maroni import formulas, verify
 from maroni.cli import main
@@ -192,6 +196,57 @@ def test_tie_check_builds_no_second_correction(monkeypatch):
     # the tie check itself still runs the tie search, once per twist
     assert [bt for bt, ties in calls["single_round"] if ties] == types
     assert [bt for bt, ties in calls["joint_round"] if ties] == applicable
+
+
+def test_verify_all_builds_one_a_per_correction_and_one_lcm_per_partition(
+        monkeypatch):
+    # counts, not timings, on the benchmark's verify arguments: one A per
+    # correction a check reads, 288 + 190 in the identity suite, 49 for
+    # table1 and 110 + 74 in the lattice suite (1183 when verify built its
+    # own copies); one lcm per Partition object (13 244 when bt.m took one)
+    a_calls, lcm_calls, partitions = [], [], []
+    a_standard, lcm = lattice.a_standard, combinatorics.lcm
+    post_init = combinatorics.Partition.__post_init__
+
+    def counted_init(self):
+        partitions.append(self.parts)
+        post_init(self)
+
+    monkeypatch.setattr(lattice, "a_standard",
+                        lambda bt: a_calls.append(bt) or a_standard(bt))
+    monkeypatch.setattr(combinatorics, "lcm",
+                        lambda *parts: lcm_calls.append(parts) or lcm(*parts))
+    monkeypatch.setattr(combinatorics.Partition, "__post_init__", counted_init)
+    test_benchmark_command_prints_its_golden_output("verify_all")
+    assert len(a_calls) <= 288 + 190 + 49 + 110 + 74
+    assert 0 < len(lcm_calls) <= len(partitions)
+
+
+def test_lattice_suite_rounds_and_builds_a_once_per_twist_and_type(monkeypatch):
+    counts = {name: collections.Counter()
+              for name in ("single_round", "joint_round", "a_standard")}
+
+    def counted(name):
+        original, counter = getattr(lattice, name), counts[name]
+
+        def wrapper(bt, *args):
+            if not any(args):  # the default point, not the tie search
+                counter[bt] += 1
+            return original(bt, *args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(lattice, name, counted(name))
+    assert all(res.ok for res in verify.run_lattice_suite(max_d=5, radius=3))
+    types = [bt for d in range(3, 6) for k in verify.LATTICE_KS
+             for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k))
+             if bt.m <= verify.LATTICE_MAX_LCM]
+    assert len(types) == 110  # verify_all's single-twist case count
+    # joint_round runs on every type and raises where no part is 1
+    assert counts["single_round"] == counts["joint_round"] == collections.Counter(types)
+    assert counts["a_standard"] == collections.Counter(
+        types + [bt for bt in types if bt.mu.has_unit_part])
 
 
 # sha256 of the concatenated `classes --format csv` output, d = 3..8 and

@@ -708,6 +708,17 @@ def test_joint_quadratic_matches_pairing_functional():
             )
 
 
+def _assert_built_from_its_parts(res, bt, xs, k):
+    """A result keeps integers over 8(d-1)k, the A and twist form it was
+    built from, and Fraction views; f = (form at the point)/(2(d-1))."""
+    std = a_standard(bt)
+    quad = twist_quadratic(bt, std.degrees, xs)
+    assert (res.std, res.quad, res.scale) == (std, quad, 8 * (bt.d - 1) * k)
+    states = twist_states(bt.d, res.point.alpha, res.point.xi)
+    assert res.value == Fraction(quad.value(states), 2 * (bt.d - 1))
+    assert all(type(view) is Fraction for view in (res.delta, res.fmax, res.value))
+
+
 @settings(max_examples=120, deadline=None)
 @given(admissible_types(max_d=12))
 def test_integer_corrections_match_fraction_expressions(bt):
@@ -722,6 +733,7 @@ def test_integer_corrections_match_fraction_expressions(bt):
     res = correction_n(bt)
     assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
         value + fibre, fmax, sum_sq, value)
+    _assert_built_from_its_parts(res, bt, None, 1)
     assert single_round(bt, explore_ties=True) == res.point
     if not bt.mu.has_unit_part:
         return
@@ -736,6 +748,8 @@ def test_integer_corrections_match_fraction_expressions(bt):
     res = correction_ln(bt)
     assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
         value + fibre, fmax, joint.sum_sq, value)
+    _assert_built_from_its_parts(res, bt, lattice._joint_nums(bt)[0],
+                                 (bt.d - 1) * (bt.d - 2))
     assert joint_round(bt, explore_ties=True) == res.point
 
 
