@@ -21,23 +21,25 @@ returns one ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .combinatorics import BoundaryType
 from .errors import DomainError, InvariantError
 
 
-@dataclass(frozen=True)
-class ChainModel:
+class ChainModel(namedtuple("ChainModel", "m")):
     """A chain R_0..R_m with R_0^2 = R_m^2 = -1 and interior squares -2."""
 
-    m: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError(f"chain length parameter must be >= 1, got {self.m}")
+    def __new__(cls, m: int):
+        if m < 1:
+            raise DomainError(f"chain length parameter must be >= 1, got {m}")
+        return super().__new__(cls, m)
 
     def pairing(self, i: int, j: int) -> int:
         """The intersection number R_i . R_j."""
@@ -48,18 +50,18 @@ class ChainModel:
         return 1 if abs(i - j) == 1 else 0
 
 
-@dataclass(frozen=True)
-class FibralDivisor:
+class FibralDivisor(namedtuple("FibralDivisor", "chain coeffs")):
     """A rational coefficient vector (e_0, ..., e_m) over a ChainModel."""
 
-    chain: ChainModel
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
+    # a divisor is not a sequence: no tuple concatenation or repetition
+    __add__ = __mul__ = __rmul__ = None
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.chain.m + 1:
-            raise DomainError(
-                f"expected {self.chain.m + 1} coefficients, got {len(self.coeffs)}"
-            )
+    def __new__(cls, chain: ChainModel, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != chain.m + 1:
+            raise DomainError(f"expected {chain.m + 1} coefficients, got {len(coeffs)}")
+        return super().__new__(cls, chain, coeffs)
 
     def __sub__(self, other: "FibralDivisor") -> "FibralDivisor":
         _check_same_chain(self, other)
@@ -134,8 +136,7 @@ def component_degrees(e) -> tuple:
     return (e[1] - e[0], *inner, e[m - 1] - e[m])
 
 
-@dataclass(frozen=True)
-class StandardA:
+class StandardA(NamedTuple):
     """The standard fibre-supported twist divisor A of a boundary type.
 
     Writing -A = sum_{i<m} alpha_i R_i with alpha_i = ((m-i)c - delta_i)/2,

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DomainError, ParityError
 
 
-@dataclass(frozen=True)
-class HurwitzParams:
+class HurwitzParams(namedtuple("HurwitzParams", "d g")):
     """Global numerical data: degree d >= 3 and genus g = (d-1)k, k >= 1.
 
     The branch-point count is b = 2g - 2 + 2d = 2(k+1)(d-1).  Degree 2 is
@@ -38,16 +38,17 @@ class HurwitzParams:
     correction formulas divide by d - 2.
     """
 
-    d: int
-    g: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
 
-    def __post_init__(self) -> None:
-        if self.d < 3:
-            raise DomainError(f"degree must be >= 3, got d={self.d}")
-        if self.g < 1 or self.g % (self.d - 1) != 0:
+    def __new__(cls, d: int, g: int):
+        if d < 3:
+            raise DomainError(f"degree must be >= 3, got d={d}")
+        if g < 1 or g % (d - 1) != 0:
             raise DomainError(
-                f"genus must satisfy g=(d-1)k with k>=1: got d={self.d}, g={self.g}"
+                f"genus must satisfy g=(d-1)k with k>=1: got d={d}, g={g}"
             )
+        return super().__new__(cls, d, g)
 
     @property
     def k(self) -> int:
@@ -58,22 +59,26 @@ class HurwitzParams:
         return 2 * self.g - 2 + 2 * self.d
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A partition of d: non-increasing positive parts m_1 >= ... >= m_n."""
 
-    parts: tuple[int, ...]
-    # m = lcm(parts) and the gcd profile, derived once, outside eq/hash/repr
-    m: int = field(init=False, repr=False, compare=False)
-    profile: GcdProfile = field(init=False, repr=False, compare=False)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
 
-    def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise DomainError(f"parts must be positive, got {self.parts}")
-        if any(a < b for a, b in itertools.pairwise(self.parts)):
-            raise DomainError(f"parts must be non-increasing, got {self.parts}")
-        object.__setattr__(self, "m", lcm(*self.parts))
+    def __new__(cls, parts: tuple[int, ...]):
+        if not parts or any(p < 1 for p in parts):
+            raise DomainError(f"parts must be positive, got {parts}")
+        if any(a < b for a, b in itertools.pairwise(parts)):
+            raise DomainError(f"parts must be non-increasing, got {parts}")
+        self = super().__new__(cls, parts)
+        # m = lcm(parts) and the gcd profile, derived once, outside eq/hash/repr
+        object.__setattr__(self, "m", lcm(*parts))
         object.__setattr__(self, "profile", gcd_profile(self))
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: a Partition is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def d(self) -> int:
@@ -115,8 +120,7 @@ def enumerate_partitions(d: int) -> list[Partition]:
     return out
 
 
-@dataclass(frozen=True)
-class GcdProfile:
+class GcdProfile(NamedTuple):
     """The vector delta_i = d - sum_nu d_{nu,i} and its step square sum.
 
     d_{nu,i} = gcd(m_nu, i) for i = 0..m, so d_{nu,0} = m_nu; since m_nu
@@ -144,8 +148,7 @@ def gcd_profile(mu: Partition) -> GcdProfile:
     return GcdProfile(delta, steps)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryType:
+class BoundaryType(NamedTuple):
     """An admissible boundary pair (j, mu) together with its derived data.
 
     The orientation convention puts j branch points on the end component

@@ -34,11 +34,12 @@ trigonal cross-check table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lattice
 from .combinatorics import (
+    MAX_TYPES,
     BoundaryType,
     HurwitzParams,
     Partition,
@@ -149,8 +150,7 @@ def sigma_min(bt: BoundaryType) -> tuple[Fraction, str]:
     return min(values, key=lambda item: item[0])  # the first achiever wins
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
+class TableRow(NamedTuple):
     bt: BoundaryType
     coefficient: Fraction
     variant: str
@@ -277,8 +277,7 @@ def elliptic_tail_special_value(k: int, d1: int) -> Fraction:
 # trigonal comparison table
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     family: str
     label: str
     computed: Fraction | None
@@ -305,6 +304,8 @@ def dp_trigonal_check(g: int) -> list[CheckRow]:
     """
     if g % 2 != 0 or g < 4:
         raise DomainError(f"trigonal comparison needs even g >= 4, got g={g}")
+    if 9 * g // 2 + 2 > MAX_TYPES:  # the row count, checked before any row
+        raise DomainError(f"g={g} gives {9 * g // 2 + 2} rows (cap {MAX_TYPES})")
     params = HurwitzParams(3, g)
     ones = Partition((1, 1, 1))
     triple = Partition((3,))

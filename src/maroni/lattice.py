@@ -75,9 +75,9 @@ to ``nodal_f1`` at the 15 points that fix a quadratic in four variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from .chain import (
     ChainModel,
@@ -94,8 +94,7 @@ from .combinatorics import BoundaryType
 from .errors import ApplicabilityError, DomainError, InvariantError
 
 
-@dataclass(frozen=True)
-class RoundedPoint:
+class RoundedPoint(NamedTuple):
     """An integer point near a rational critical point N/den of a twist form.
 
     ``alpha`` are the rounded chain coefficients and ``scaled`` the scaled
@@ -120,8 +119,7 @@ class RoundedPoint:
         return Fraction(self.scaled_sum_sq, self.den**2)
 
 
-@dataclass(frozen=True)
-class CorrectionResult:
+class CorrectionResult(NamedTuple):
     """The amount ``delta`` subtracted from the standard coefficient at one type.
 
     Integers over ``scale`` = 8(d-1)k: delta, the critical value ``fmax`` and
@@ -266,8 +264,7 @@ def _correction(bt, point, std, quad) -> CorrectionResult:
     return CorrectionResult(point, std, quad, scale, delta_num, fmax_num, f_num)
 
 
-@dataclass(frozen=True)
-class ChainQuadratic:
+class ChainQuadratic(NamedTuple):
     """An integer objective on states s_i = (x_i, g_i) along a chain.
 
     The value is sum_i (p_i x_i + q_i g_i) - sum_{i=1}^m (w0 (x_{i-1} -
@@ -401,6 +398,12 @@ def _require_unit_part(bt: BoundaryType) -> None:
         )
 
 
+def _branch_nums(bt: BoundaryType) -> list[int]:
+    """The branch numerators X_i = (m-i)l - delta_i, i < m."""
+    m, l, delta = bt.m, bt.l, bt.delta
+    return [(m - i) * l - delta[i] for i in range(m)]
+
+
 def _joint_nums(bt: BoundaryType) -> tuple[list[int], list[int], int]:
     """X_i = (m-i)l - delta_i, the numerators N_i and the denominator D.
 
@@ -408,9 +411,8 @@ def _joint_nums(bt: BoundaryType) -> tuple[list[int], list[int], int]:
     N_i/D = (g_i + x_i)/(d-1) is the critical N-coordinate.
     """
     _require_unit_part(bt)
-    d, m, a, l = bt.d, bt.m, bt.a, bt.l
-    delta = bt.delta
-    xs = [(m - i) * l - delta[i] for i in range(m)]
+    d, m, a, delta = bt.d, bt.m, bt.a, bt.delta
+    xs = _branch_nums(bt)
     nums = [((m - i) * a - delta[i]) * (d - 2) + x for i, x in enumerate(xs)]
     return xs, nums, 2 * (d - 1) * (d - 2)
 
@@ -421,11 +423,7 @@ def branch_functional_divisor(bt: BoundaryType) -> FibralDivisor:
     On the span of R_0..R_{m-1} the branch divisor (l sections through R_0
     plus the exceptional part) acts like -sum ((m-i)l - delta_i) R_i.
     """
-    m, l = bt.m, bt.l
-    delta = bt.delta
-    return fibral(
-        ChainModel(m), [-((m - i) * l - delta[i]) for i in range(m)] + [0]
-    )
+    return fibral(ChainModel(bt.m), [-x for x in _branch_nums(bt)] + [0])
 
 
 def joint_f_value(bt: BoundaryType, nvec, xvec) -> Fraction:
@@ -485,7 +483,7 @@ def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
         if val < 0:
             raise InvariantError(f"effectivity xi_{i} >= 0 fails at {bt}")
         xi.append(val)
-    return replace(point, xi=tuple(xi))
+    return point._replace(xi=tuple(xi))
 
 
 def correction_ln(bt: BoundaryType) -> CorrectionResult:
@@ -496,7 +494,7 @@ def correction_ln(bt: BoundaryType) -> CorrectionResult:
     checks it with k = (d-1)(d-2) and defect m(d-1)k, and A + G = A +
     (d-1)N - X.
     """
-    return _correction(bt, *_parts(bt, joint_round(bt), _joint_nums(bt)[0]))
+    return _correction(bt, *_parts(bt, joint_round(bt), _branch_nums(bt)))
 
 
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
@@ -509,7 +507,7 @@ def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    return _is_box_max(bt, *_parts(bt, joint_round(bt), _joint_nums(bt)[0]), radius)
+    return _is_box_max(bt, *_parts(bt, joint_round(bt), _branch_nums(bt)), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +573,7 @@ def nodal_f1(bt: BoundaryType, z) -> Fraction:
     return Fraction(2 * (z_sq - z_u) - (push_sq - push_w), 4)
 
 
-@dataclass(frozen=True)
-class NodalRay:
+class NodalRay(NamedTuple):
     """The functional restricted to one effective ray t -> t . curve."""
 
     label: str

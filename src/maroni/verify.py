@@ -8,7 +8,6 @@ and the test suite agree by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, lattice
@@ -56,11 +55,9 @@ TABLE1: dict[tuple[int, tuple[int, ...], int], int] = {
 }
 
 
-@dataclass
 class CheckResult:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str, checked: int = 0):
+        self.name, self.checked, self.failures = name, checked, []
 
     @property
     def ok(self) -> bool:

@@ -111,6 +111,29 @@ def test_table2_usage_error_on_odd_genus():
     assert code == 2
 
 
+def test_table2_rejects_a_genus_above_the_row_cap(monkeypatch, capsys):
+    # the table has 9g/2 + 2 rows, linear in g; the largest even g within
+    # the cap reaches the first row, the next is a usage error before it
+    import maroni.formulas as formulas
+    from maroni.combinatorics import MAX_TYPES
+
+    class Reached(Exception):
+        pass
+
+    def first_row(d, g):
+        raise Reached
+
+    monkeypatch.setattr(formulas, "HurwitzParams", first_row)
+    g = 2 * ((MAX_TYPES - 2) // 9)
+    assert 9 * g // 2 + 2 <= MAX_TYPES < 9 * (g + 2) // 2 + 2
+    with pytest.raises(Reached):
+        main(["table2", "--g", str(g)])
+    assert main(["table2", "--g", str(g + 2)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: g={g + 2} gives {9 * g // 2 + 11} rows (cap {MAX_TYPES})\n"
+
+
 def test_patel_command():
     code, text = run_cli("patel", "--d", "4", "--g", "3", "--format", "csv")
     assert code == 0
@@ -364,7 +387,7 @@ def test_library_errors_map_to_exit_codes(
     monkeypatch.setattr(lattice, target, broken)
     assert main(["classes", "--d", "3", "--g", "2", "--variant", variant]) == code
     err = capsys.readouterr().err
-    # the type is named by its short label, not the dataclass repr
+    # the type is named by its short label, not its field-by-field repr
     label = r"d=3 g=2 j=2 mu=\((3|1\|1\|1)\)"
     assert re.fullmatch(re.escape(prefix + "synthetic defect at ") + label + "\n", err)
     assert "Traceback" not in err
@@ -384,6 +407,19 @@ def run_module(*argv):
         text=True,
         env=module_env(),
     )
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every maroni command is a fresh process that pays for its imports;
+    # dataclasses pulls in inspect, ast and dis, about 1 MiB of start-up
+    probe = ("import sys; before = set(sys.modules); import maroni.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=module_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "maroni.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_console_entry_point():

@@ -273,6 +273,12 @@ def test_trigonal_report_rows():
     assert by[("Delta2", "-")].status == "SKIP"
 
 
+def test_trigonal_report_has_the_closed_form_row_count():
+    # dp_trigonal_check caps g by this count before building a row
+    for g in range(4, 41, 2):
+        assert len(dp_trigonal_check(g)) == 9 * g // 2 + 2
+
+
 def test_trigonal_report_rejects_bad_genus():
     with pytest.raises(DomainError):
         dp_trigonal_check(5)

@@ -14,7 +14,8 @@
    identity suite still builds one correction per twist and type, and
    checks the tie search on the rounded points alone; the lattice suite
    rounds and builds A once per twist and type, each correction a check
-   reads builds one A, and a partition derives its lcm once.
+   reads builds one A, a partition derives its lcm once, and each joint
+   rounding derives its numerators once.
 5. The ``classes`` bytes of every variant stay as they are: one sha256
    per variant over the csv output for d = 3..8, k = 1, 2.
 6. The package is stdlib-only: no declared dependency, and every absolute
@@ -198,6 +199,28 @@ def test_tie_check_builds_no_second_correction(monkeypatch):
     assert [bt for bt, ties in calls["joint_round"] if ties] == applicable
 
 
+def test_verify_all_derives_the_joint_numerators_once_per_joint_rounding(
+        monkeypatch):
+    # the joint corrections and oracles take the branch numerators X_i from
+    # _branch_nums; only joint_round builds N_i (1074 _joint_nums calls for
+    # 810 roundings when they took X_i from a second _joint_nums)
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(lattice, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_joint_nums", "joint_round"):
+        monkeypatch.setattr(lattice, name, counted(name))
+    test_benchmark_command_prints_its_golden_output("verify_all")
+    assert calls["_joint_nums"] == calls["joint_round"] > 0
+
+
 def test_verify_all_builds_one_a_per_correction_and_one_lcm_per_partition(
         monkeypatch):
     # counts, not timings, on the benchmark's verify arguments: one A per
@@ -206,17 +229,17 @@ def test_verify_all_builds_one_a_per_correction_and_one_lcm_per_partition(
     # own copies); one lcm per Partition object (13 244 when bt.m took one)
     a_calls, lcm_calls, partitions = [], [], []
     a_standard, lcm = lattice.a_standard, combinatorics.lcm
-    post_init = combinatorics.Partition.__post_init__
+    new = combinatorics.Partition.__new__
 
-    def counted_init(self):
-        partitions.append(self.parts)
-        post_init(self)
+    def counted_new(cls, parts):
+        partitions.append(parts)
+        return new(cls, parts)
 
     monkeypatch.setattr(lattice, "a_standard",
                         lambda bt: a_calls.append(bt) or a_standard(bt))
     monkeypatch.setattr(combinatorics, "lcm",
                         lambda *parts: lcm_calls.append(parts) or lcm(*parts))
-    monkeypatch.setattr(combinatorics.Partition, "__post_init__", counted_init)
+    monkeypatch.setattr(combinatorics.Partition, "__new__", counted_new)
     test_benchmark_command_prints_its_golden_output("verify_all")
     assert len(a_calls) <= 288 + 190 + 49 + 110 + 74
     assert 0 < len(lcm_calls) <= len(partitions)

@@ -1,7 +1,6 @@
 import itertools
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -486,12 +485,12 @@ def test_oracles_reject_a_point_moved_below_the_maximum(monkeypatch):
     single, joint = lattice.single_round, lattice.joint_round
     for bt in _verify_all_lattice_types():
         pt = single(bt)
-        moved = replace(pt, alpha=_lowering_move(single_quadratic(bt), bt.d, pt.alpha))
+        moved = pt._replace(alpha=_lowering_move(single_quadratic(bt), bt.d, pt.alpha))
         monkeypatch.setattr(lattice, "single_round", lambda bt: moved)
         assert not verify_integer_max(bt, 1)
         if bt.mu.has_unit_part:
             pt = joint(bt)
-            moved = replace(pt, alpha=_lowering_move(
+            moved = pt._replace(alpha=_lowering_move(
                 joint_quadratic(bt), bt.d, pt.alpha, pt.xi))
             monkeypatch.setattr(lattice, "joint_round", lambda bt: moved)
             assert not verify_joint_max(bt, 1)
@@ -793,7 +792,7 @@ def test_correction_effectivity_check_fires(monkeypatch, correction):
 
     def raised(bt):
         std = standard(bt)
-        return replace(std, alpha=tuple(a + 100 for a in std.alpha))
+        return std._replace(alpha=tuple(a + 100 for a in std.alpha))
 
     monkeypatch.setattr(lattice, "a_standard", raised)
     with pytest.raises(InvariantError, match="not effective"):
@@ -821,7 +820,7 @@ def test_correction_effectivity_check_is_tight(monkeypatch, rounding, correction
             i = slack.index(min(slack))
             alpha = [*std.alpha]
             alpha[i] += slack[i] + 1
-            return replace(std, alpha=tuple(alpha))
+            return std._replace(alpha=tuple(alpha))
 
         monkeypatch.setattr(lattice, "a_standard", missed_by_one)
         with pytest.raises(InvariantError, match="not effective"):
@@ -842,7 +841,7 @@ def test_correction_residual_bound_fires(monkeypatch):
         nums, den = lattice._single_nums(bt)
         alpha = (point.alpha[0] + 3, *point.alpha[1:])
         scaled = tuple(a * den - n for a, n in zip(alpha, nums))
-        return replace(point, alpha=alpha, scaled=scaled)
+        return point._replace(alpha=alpha, scaled=scaled)
 
     monkeypatch.setattr(lattice, "single_round", far)
     types = [bt for d in range(3, 6)
