@@ -3,13 +3,15 @@
 Subcommands:
 
 * ``classes``  - the coefficient table for one (d, g) and variant;
-* ``table1``   - the fourteen positive single-twist corrections (d <= 5);
+* ``table1``   - the fourteen positive single-twist corrections (d <= 5),
+  checked with every other residue class;
 * ``table2``   - the trigonal comparison families for one even genus;
 * ``patel``    - the j = 2 partial-compactification display;
 * ``verify``   - the property suites (lattice | identities | tables | all).
 
 Rationals are always printed exactly ("p/q" or "p"); partitions print as
-"(3|2|1)".  Exit codes: 0 success, 1 verification failure, 2 usage error
+"(3|2|1)".  Exit codes: 0 success, 1 verification failure (a FAIL row of a
+table command, or a failed ``verify`` check), 2 usage error
 (bad input, or a construction that does not apply), 3 internal invariant
 failure (a bug, reported as one line, not a traceback), 141 standard
 output closed early by the reader (``maroni ... | head``; 128 + SIGPIPE).
@@ -97,53 +99,37 @@ def cmd_classes(args, out) -> int:
     return 0
 
 
+def _emit_checks(header: list[str], cells: Iterable[list], rows, fmt, out) -> int:
+    """Write the shown cells; exit 1 iff any checked row is FAIL."""
+    _emit_rows(header, cells, fmt, out)
+    return 1 if any(row.status == "FAIL" for row in rows) else 0
+
+
 def cmd_table1(args, out) -> int:
-    rows = []
-    failures = 0
-    computed = {
-        (d, mu.parts, residue): delta
-        for d in (3, 4, 5)
-        for mu, residue, delta in verify.table1_deltas(d)
-    }
-    for (d, parts, residue), expected in verify.TABLE1.items():
-        delta = computed[(d, parts, residue)]
-        ok = delta == expected
-        failures += 0 if ok else 1
-        rows.append([d, str(Partition(parts)), residue, delta, expected,
-                     "PASS" if ok else "FAIL"])
-    _emit_rows(["d", "mu", "j_mod", "sigma", "expected", "status"],
-               rows, args.format, out)
-    return 1 if failures else 0
+    # every class is checked; shown are the listed ones and any that fails
+    rows = verify.table1_rows()
+    cells = [
+        [d, str(Partition(parts)), residue, row.computed, row.expected, row.status]
+        for (d, parts, residue), row in rows.items()
+        if (d, parts, residue) in verify.TABLE1 or row.status == "FAIL"
+    ]
+    return _emit_checks(["d", "mu", "j_mod", "sigma", "expected", "status"],
+                        cells, rows.values(), args.format, out)
 
 
 def cmd_table2(args, out) -> int:
-    rows = []
-    failures = 0
-    for row in formulas.dp_trigonal_check(args.g):
-        failures += 1 if row.status == "FAIL" else 0
-        rows.append(
-            [row.family, row.label, row.computed, row.expected,
-             row.status, row.note]
-        )
-    _emit_rows(["family", "label", "computed", "expected", "status", "note"],
-               rows, args.format, out)
-    return 1 if failures else 0
+    rows = formulas.dp_trigonal_check(args.g)
+    cells = ([r.family, r.label, r.computed, r.expected, r.status, r.note]
+             for r in rows)
+    return _emit_checks(["family", "label", "computed", "expected", "status",
+                         "note"], cells, rows, args.format, out)
 
 
 def cmd_patel(args, out) -> int:
-    params = _params(args)
-    rows = []
-    failures = 0
-    for label, displayed, direct in formulas.patel_consistency(params):
-        if direct is None:
-            status = "SKIP"
-        else:
-            status = "PASS" if displayed == direct else "FAIL"
-            failures += 0 if status == "PASS" else 1
-        rows.append([label, displayed, direct, status])
-    _emit_rows(["piece", "coefficient", "sigma_st_at_j2", "status"],
-               rows, args.format, out)
-    return 1 if failures else 0
+    rows = formulas.patel_consistency(_params(args))
+    cells = ([r.family, r.expected, r.computed, r.status] for r in rows)
+    return _emit_checks(["piece", "coefficient", "sigma_st_at_j2", "status"],
+                        cells, rows, args.format, out)
 
 
 def cmd_verify(args, out) -> int:

@@ -191,20 +191,6 @@ def build_table(params: HurwitzParams, variant: str) -> tuple[TableRow, ...]:
 # ---------------------------------------------------------------------------
 # j = 2 partial compactification
 
-PARTIAL_LABELS = ("Delta", "E2", "E3")
-
-
-def partial_partitions(d: int) -> tuple[Partition, Partition | None, Partition]:
-    """The partitions indexing the j = 2 boundary pieces Delta, E2, E3.
-
-    E2 needs two parts equal to 2 and does not exist for d = 3.
-    """
-    ones = Partition((1,) * d)
-    e2 = Partition((2, 2) + (1,) * (d - 4)) if d >= 4 else None
-    e3 = Partition((3,) + (1,) * (d - 3))
-    return ones, e2, e3
-
-
 def patel_partial(params: HurwitzParams) -> tuple[Fraction, Fraction, Fraction]:
     """Coefficients of Delta, E2, E3 in the j = 2 partial class.
 
@@ -220,20 +206,26 @@ def patel_partial(params: HurwitzParams) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
-def patel_consistency(
-    params: HurwitzParams,
-) -> list[tuple[str, Fraction, Fraction | None]]:
-    """Pair each displayed j = 2 coefficient with sigma_st at that type."""
-    displayed = patel_partial(params)
-    out = []
-    for label, value, mu in zip(
-        PARTIAL_LABELS, displayed, partial_partitions(params.d)
-    ):
-        direct = (
-            sigma_st(make_boundary_type(params, 2, mu)) if mu is not None else None
-        )
-        out.append((label, value, direct))
-    return out
+def patel_consistency(params: HurwitzParams) -> list[CheckRow]:
+    """One row per j = 2 piece: sigma_st at its type against the display.
+
+    The display is the expected value.  E2 needs two parts equal to 2, so
+    at d = 3 it has no type and its row is SKIP.
+    """
+    d = params.d
+    pieces = (
+        ("Delta", Partition((1,) * d)),
+        ("E2", Partition((2, 2) + (1,) * (d - 4)) if d >= 4 else None),
+        ("E3", Partition((3,) + (1,) * (d - 3))),
+    )
+    rows = []
+    for (piece, mu), displayed in zip(pieces, patel_partial(params)):
+        if mu is None:
+            rows.append(check_row(piece, "-", None, displayed))
+        else:
+            direct = sigma_st(make_boundary_type(params, 2, mu))
+            rows.append(check_row(piece, str(mu), direct, displayed))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +266,26 @@ def elliptic_tail_special_value(k: int, d1: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# trigonal comparison table
+# published-table rows; the trigonal comparison table
 
 
 class CheckRow(NamedTuple):
     family: str
     label: str
     computed: Fraction | None
-    expected: Fraction | None
+    expected: Fraction | int | None
     status: str  # PASS | FAIL | SKIP
     note: str = ""
 
 
-def _row(family: str, label: str, computed, expected, note: str = "") -> CheckRow:
-    status = "PASS" if computed == expected else "FAIL"
+def check_row(family: str, label: str, computed, expected,
+              note: str = "") -> CheckRow:
+    """The one verdict of a published-table row: SKIP when nothing was
+    computed, otherwise PASS iff computed == expected."""
+    if computed is None:
+        status = "SKIP"
+    else:
+        status = "PASS" if computed == expected else "FAIL"
     return CheckRow(family, label, computed, expected, status, note)
 
 
@@ -311,36 +309,30 @@ def dp_trigonal_check(g: int) -> list[CheckRow]:
     triple = Partition((3,))
     rows: list[CheckRow] = []
 
-    def corr1_diff(j: int, mu: Partition) -> Fraction:
+    def gain(j: int, mu: Partition, sigma) -> Fraction:
         bt = make_boundary_type(params, j, mu)
-        return sigma_st(bt) - sigma_corr1(bt)
+        return sigma_st(bt) - sigma(bt)
 
-    def corr2_diff(j: int, mu: Partition) -> Fraction:
-        bt = make_boundary_type(params, j, mu)
-        return sigma_st(bt) - sigma_corr2(bt)
-
-    rows.append(_row("Delta", "nodal", corr1_diff(2, ones), Fraction(0)))
+    rows.append(check_row("Delta", "nodal", gain(2, ones, sigma_corr1), Fraction(0)))
 
     for g1 in range(0, g - 1):  # g1 + g2 = g - 2
-        j = 2 * (g1 + 2)
-        bt = make_boundary_type(params, j, ones)
-        rows.append(_row("Delta1", f"g1={g1}", sigma_st(bt) - sigma_corr1(bt), Fraction(0)))
+        bt = make_boundary_type(params, 2 * (g1 + 2), ones)
+        st, lam = sigma_st(bt), lambda_coeff(bt)
+        rows.append(check_row("Delta1", f"g1={g1}", st - sigma_corr1(bt), Fraction(0)))
         shift = Fraction(0) if g1 % 2 == 0 else Fraction(1, 4)
         rows.append(
-            _row(
+            check_row(
                 "Delta1",
                 f"g1={g1} hodge-relation",
-                sigma_st(bt),
-                lambda_coeff(bt) / 2 - shift,
+                st,
+                lam / 2 - shift,
                 note="sigma_st vs lambda/2",
             )
         )
         if g1 % 2 == 0:
-            residual = (
-                (7 * g + 6) * lambda_coeff(bt) - 3 * g - 2 * (g - 3) * sigma_st(bt)
-            )
+            residual = (7 * g + 6) * lam - 3 * g - 2 * (g - 3) * st
             rows.append(
-                _row(
+                check_row(
                     "Delta1",
                     f"g1={g1} residual",
                     residual,
@@ -350,35 +342,35 @@ def dp_trigonal_check(g: int) -> list[CheckRow]:
             )
 
     rows.append(
-        CheckRow("Delta2", "-", None, Fraction(0), "SKIP", "boundary data not restated")
+        check_row("Delta2", "-", None, Fraction(0), note="boundary data not restated")
     )
 
     for g1 in range(0, g - 1):
-        j = 2 * g1 + 2
         expected = Fraction(1) if g1 % 2 == 1 else Fraction(0)
-        rows.append(_row("Delta3", f"g1={g1}", corr1_diff(j, triple), expected))
+        gained = gain(2 * g1 + 2, triple, sigma_corr1)
+        rows.append(check_row("Delta3", f"g1={g1}", gained, expected))
 
     for g2 in range(0, g):  # g1 + g2 = g - 1
-        j = 2 * (g - g2 + 1)
         expected = Fraction((g2 + 1) ** 2, 4)
         if g2 % 2 == 0:
             expected -= Fraction(1, 4)
-        rows.append(_row("Delta4", f"g2={g2}", corr2_diff(j, ones), expected))
+        gained = gain(2 * (g - g2 + 1), ones, sigma_corr2)
+        rows.append(check_row("Delta4", f"g2={g2}", gained, expected))
 
     rows.append(
-        CheckRow(
-            "Delta5", "-", None, None, "SKIP",
-            "target g2(g2+1)/2; boundary data not restated",
+        check_row(
+            "Delta5", "-", None, None,
+            note="target g2(g2+1)/2; boundary data not restated",
         )
     )
     rows.append(
-        CheckRow(
-            "Delta6", "-", None, None, "SKIP",
-            "target (g2+1)^2/4 (-1/4 for even g2); boundary data not restated",
+        check_row(
+            "Delta6", "-", None, None,
+            note="target (g2+1)^2/4 (-1/4 for even g2); boundary data not restated",
         )
     )
 
     rows.append(
-        _row("H", f"g2={g}", corr2_diff(2, ones), Fraction(g * (g + 2), 4))
+        check_row("H", f"g2={g}", gain(2, ones, sigma_corr2), Fraction(g * (g + 2), 4))
     )
     return rows

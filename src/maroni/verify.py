@@ -8,8 +8,6 @@ and the test suite agree by construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import formulas, lattice
 from .chain import ChainModel, component_degrees
 from .combinatorics import (
@@ -20,7 +18,7 @@ from .combinatorics import (
     enumerate_partitions,
     make_boundary_type,
 )
-from .errors import ApplicabilityError, DomainError
+from .errors import ApplicabilityError, DomainError, InvariantError
 
 # fixed check ranges: the lattice oracles run at g = (d-1)k, k in LATTICE_KS,
 # on chains with m <= LATTICE_MAX_LCM
@@ -87,46 +85,46 @@ def residue_representatives(d: int, mu: Partition):
         yield residue, make_boundary_type(params, j, mu)
 
 
-def table1_deltas(d: int):
-    """(mu, residue, computed delta) over all admissible residue classes."""
-    for mu in enumerate_partitions(d):
-        for residue, bt in residue_representatives(d, mu):
-            yield mu, residue, lattice.correction_n(bt).delta
+def table1_rows() -> dict[tuple[int, tuple[int, ...], int], formulas.CheckRow]:
+    """Per admissible class (d, parts, j mod 2(d-1)), d = 3, 4, 5: the delta of
+    its representative against its TABLE1 entry (0 when unlisted).  A listed
+    class that no admissible type reaches is a defect of TABLE1 itself."""
+    rows = {}
+    for d in (3, 4, 5):
+        for mu in enumerate_partitions(d):
+            for residue, bt in residue_representatives(d, mu):
+                key = (d, mu.parts, residue)
+                rows[key] = formulas.check_row(
+                    f"d={d}", f"mu={mu} j%{2 * (d - 1)}={residue}",
+                    lattice.correction_n(bt).delta, TABLE1.get(key, 0))
+    missing = TABLE1.keys() - rows.keys()
+    if missing:
+        raise InvariantError(f"listed pairs never reached: {sorted(missing)}")
+    return rows
+
+
+def _tally(result: CheckResult, rows, where: str = "") -> CheckResult:
+    """Count every computed (non-SKIP) row and fail every FAIL row."""
+    for row in rows:
+        if row.status != "SKIP":
+            result.count()
+        if row.status == "FAIL":
+            result.fail(f"{where}{row.family} {row.label}: computed "
+                        f"{row.computed}, expected {row.expected}")
+    return result
 
 
 def run_table1_check() -> CheckResult:
     """Golden check of the positive-correction table for d = 3, 4, 5."""
-    result = CheckResult("table1: single-twist corrections for d=3,4,5")
-    seen = set()
-    for d in (3, 4, 5):
-        for mu, residue, delta in table1_deltas(d):
-            result.count()
-            key = (d, mu.parts, residue)
-            expected = Fraction(TABLE1.get(key, 0))
-            if delta != expected:
-                result.fail(f"d={d} mu={mu} j%{2*(d-1)}={residue}: "
-                            f"delta={delta}, expected {expected}")
-            if key in TABLE1:
-                seen.add(key)
-    missing = set(TABLE1) - seen
-    if missing:
-        result.fail(f"listed pairs never reached: {sorted(missing)}")
-    return result
+    return _tally(CheckResult("table1: single-twist corrections for d=3,4,5"),
+                  table1_rows().values())
 
 
 def run_table2_check() -> CheckResult:
     """Golden check of the trigonal comparison families for g in TABLE2_GS."""
     result = CheckResult("table2: trigonal closure corrections")
     for g in TABLE2_GS:
-        for row in formulas.dp_trigonal_check(g):
-            if row.status == "SKIP":
-                continue
-            result.count()
-            if row.status != "PASS":
-                result.fail(
-                    f"g={g} {row.family} {row.label}: computed {row.computed}, "
-                    f"expected {row.expected}"
-                )
+        _tally(result, formulas.dp_trigonal_check(g), f"g={g} ")
     return result
 
 
@@ -136,15 +134,7 @@ def run_patel_check(max_d: int = 6) -> CheckResult:
     for d in range(3, max_d + 1):
         for k in range(1, PATEL_MAX_K + 1):
             params = HurwitzParams(d, (d - 1) * k)
-            for label, displayed, direct in formulas.patel_consistency(params):
-                if direct is None:
-                    continue
-                result.count()
-                if displayed != direct:
-                    result.fail(
-                        f"d={d} k={k} {label}: display {displayed} != "
-                        f"sigma_st {direct}"
-                    )
+            _tally(result, formulas.patel_consistency(params), f"d={d} k={k} ")
     return result
 
 

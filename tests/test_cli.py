@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import maroni
+from maroni import formulas, verify
 from maroni.cli import main
+from maroni.combinatorics import HurwitzParams
 from maroni.errors import ApplicabilityError, InvariantError
 
 
@@ -143,6 +145,81 @@ def test_patel_command():
     code, text = run_cli("patel", "--d", "3", "--g", "2", "--format", "csv")
     assert code == 0
     assert any(line.endswith("SKIP") for line in text.splitlines())
+
+
+# a wrong published value fails both the table command (exit 1, a FAIL row)
+# and the matching verify check (a failure naming the case)
+
+
+def test_table1_fails_on_a_wrong_listed_value(monkeypatch):
+    # (3, (3,), 2) is an admissible class with delta 0, listed here as 1
+    monkeypatch.setattr(verify, "TABLE1", {**verify.TABLE1, (3, (3,), 2): 1})
+    code, text = run_cli("table1", "--format", "csv")
+    assert code == 1
+    assert "3,(3),2,0,1,FAIL" in text.splitlines()
+    result = verify.run_table1_check()
+    assert not result.ok and result.checked == 49
+    assert result.failures == ["d=3 mu=(3) j%4=2: computed 0, expected 1"]
+
+
+def test_table1_fails_on_a_class_missing_from_the_list(monkeypatch):
+    # dropping a listed class leaves its delta 1 against the unlisted 0; the
+    # command checks every class, not only the listed ones it shows
+    table = dict(verify.TABLE1)
+    del table[5, (5,), 2]
+    monkeypatch.setattr(verify, "TABLE1", table)
+    code, text = run_cli("table1", "--format", "csv")
+    assert code == 1
+    lines = text.splitlines()
+    assert len(lines) == 15  # header, the 13 listed rows and the failing one
+    assert "5,(5),2,1,0,FAIL" in lines
+    result = verify.run_table1_check()
+    assert result.failures == ["d=5 mu=(5) j%8=2: computed 1, expected 0"]
+
+
+def test_table1_rejects_a_listed_class_that_no_type_reaches(monkeypatch,
+                                                            capsys):
+    # j = 1 has the wrong parity for mu = (3) at d = 3: a defect of the table
+    monkeypatch.setattr(verify, "TABLE1", {**verify.TABLE1, (3, (3,), 1): 1})
+    for argv in (["table1"], ["verify", "--suite", "tables"]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: internal invariant failed: listed pairs never "
+                       "reached: [(3, (3,), 1)]\n")
+
+
+def test_patel_fails_on_a_wrong_display(monkeypatch):
+    patel_partial = formulas.patel_partial
+
+    def off_by_one(params):
+        delta, e2, e3 = patel_partial(params)
+        return delta, e2, e3 + 1
+
+    monkeypatch.setattr(formulas, "patel_partial", off_by_one)
+    code, text = run_cli("patel", "--d", "4", "--g", "3", "--format", "csv")
+    assert code == 1
+    e3 = patel_partial(HurwitzParams(4, 3))[2]
+    assert f"E3,{e3 + 1},{e3},FAIL" in text.splitlines()
+    result = verify.run_patel_check(max_d=4)
+    assert not result.ok
+    assert f"d=4 k=1 E3 (3|1): computed {e3}, expected {e3 + 1}" in result.failures
+
+
+def test_table2_fails_on_a_wrong_hodge_coefficient(monkeypatch):
+    lambda_coeff = formulas.lambda_coeff
+    monkeypatch.setattr(formulas, "lambda_coeff",
+                        lambda bt: lambda_coeff(bt) + 2)
+    code, text = run_cli("table2", "--g", "6", "--format", "csv")
+    assert code == 1
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    failed = {(r[0], r[1]) for r in rows if r[4] == "FAIL"}
+    assert ("Delta1", "g1=0 hodge-relation") in failed
+    assert {status for *_, status, _ in rows} == {"PASS", "FAIL", "SKIP"}
+    result = verify.run_table2_check()
+    assert not result.ok
+    assert any(m.startswith("g=4 Delta1 g1=0 hodge-relation: computed ")
+               for m in result.failures)
 
 
 def test_verify_tables_suite():

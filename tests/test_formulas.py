@@ -12,6 +12,7 @@ from maroni.errors import ApplicabilityError, DomainError
 from maroni.formulas import (
     CONDITIONAL_TAIL,
     build_table,
+    check_row,
     dp_trigonal_check,
     elliptic_tail_gain,
     elliptic_tail_special_value,
@@ -241,11 +242,13 @@ def test_patel_consistency_range():
     for d in range(3, 7):
         for k in range(1, 6):
             rows = patel_consistency(HurwitzParams(d, (d - 1) * k))
-            for label, displayed, direct in rows:
-                if label == "E2" and d == 3:
-                    assert direct is None
+            assert [row.family for row in rows] == ["Delta", "E2", "E3"]
+            for row in rows:
+                if row.family == "E2" and d == 3:
+                    assert (row.computed, row.status) == (None, "SKIP")
                 else:
-                    assert displayed == direct
+                    assert row.status == "PASS"
+                    assert row.computed == row.expected
 
 
 def test_elliptic_tail_values():
@@ -259,6 +262,15 @@ def test_elliptic_tail_values():
             assert assembled == elliptic_tail_special_value(k, d1)
     with pytest.raises(DomainError):
         elliptic_tail_gain(1, 3, 1, 1, 0, -1)
+
+
+def test_check_row_is_skip_without_a_value_else_pass_iff_equal():
+    assert check_row("f", "l", None, Fraction(0)).status == "SKIP"
+    assert check_row("f", "l", None, None).status == "SKIP"
+    assert check_row("f", "l", Fraction(1), 1).status == "PASS"
+    assert check_row("f", "l", Fraction(0), 1).status == "FAIL"
+    row = check_row("f", "l", Fraction(1, 2), None, note="n")
+    assert row == ("f", "l", Fraction(1, 2), None, "FAIL", "n")
 
 
 def test_trigonal_report_rows():

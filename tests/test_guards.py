@@ -25,6 +25,9 @@
 8. The lattice maxima are certified by the edge bound: on the benchmark's
    ``verify`` range no box dynamic program runs, and the ``classes`` path
    runs neither the bound, the box program nor A.
+9. A published-table row has one verdict: ``formulas.check_row`` is the
+   only function that builds a ``CheckRow``, and the table commands and
+   their ``verify`` checks compare nothing but a row's status.
 """
 
 import ast
@@ -333,3 +336,41 @@ def test_tie_search_is_a_parameter_only_of_its_one_path():
                 if "explore_ties" in names:
                     owners.add(node.name)
     assert owners == TIE_SEARCH_PATH
+
+
+# the functions that read published-table rows, by source file: the table
+# commands, their verify checks and the two loops they share
+ROW_READERS = {
+    "cli.py": {"_emit_checks", "cmd_table1", "cmd_table2", "cmd_patel"},
+    "verify.py": {"_tally", "run_table1_check", "run_table2_check",
+                  "run_patel_check"},
+}
+STATUSES = {"PASS", "FAIL", "SKIP"}
+
+
+def _is_status(node):
+    return isinstance(node, ast.Constant) and node.value in STATUSES
+
+
+def test_table_verdicts_are_decided_only_by_the_row_builder():
+    builders, readers = set(), set()
+    for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and "CheckRow" in (
+                        getattr(sub.func, "id", None),
+                        getattr(sub.func, "attr", None)):
+                    builders.add(node.name)
+            if node.name not in ROW_READERS.get(path.name, ()):
+                continue
+            readers.add(node.name)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Compare) and any(
+                        isinstance(op, (ast.Eq, ast.NotEq)) for op in sub.ops):
+                    operands = [sub.left, *sub.comparators]
+                    assert any(map(_is_status, operands)), (
+                        f"{node.name} compares {ast.unparse(sub)}")
+    assert builders == {"check_row"}
+    assert readers == set().union(*ROW_READERS.values())

@@ -318,6 +318,29 @@ def test_corrections_depend_on_the_residue_class_across_genera():
         assert len(seen) == len(enumerate_partitions(d)) * (d - 1)
 
 
+def test_every_type_has_the_delta_of_its_residue_class_representative():
+    # table1 checks one representative per class (d, mu, j mod 2(d-1)),
+    # taken at k = 3; every type of d = 3..6, k = 1..4, in both
+    # orientations, has the delta of its class's representative
+    from maroni.verify import residue_representatives
+
+    checked, reached, classes = 0, set(), {}
+    for d in range(3, 7):
+        period = 2 * (d - 1)
+        for mu in enumerate_partitions(d):
+            for residue, rep in residue_representatives(d, mu):
+                classes[mu, residue] = correction_n(rep).delta
+        for k in range(1, 5):
+            for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+                for oriented in (bt, bt.flipped()):
+                    key = (oriented.mu, oriented.j % period)
+                    assert correction_n(oriented).delta == classes[key], oriented
+                    checked += 1
+                    reached.add(key)
+    assert (checked, len(classes)) == (1364, 104)
+    assert reached == set(classes)
+
+
 def test_integer_max_examples():
     assert verify_integer_max(bt_of(3, 4, 4, (3,)), radius=3)
     assert verify_integer_max(bt_of(3, 2, 4, (1, 1, 1)), radius=5)
