@@ -273,7 +273,7 @@ class CheckRow(NamedTuple):
     family: str
     label: str
     computed: Fraction | None
-    expected: Fraction | int | None
+    expected: Fraction | None
     status: str  # PASS | FAIL | SKIP
     note: str = ""
 

@@ -8,6 +8,8 @@ and the test suite agree by construction.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import formulas, lattice
 from .chain import ChainModel, component_degrees
 from .combinatorics import (
@@ -96,7 +98,8 @@ def table1_rows() -> dict[tuple[int, tuple[int, ...], int], formulas.CheckRow]:
                 key = (d, mu.parts, residue)
                 rows[key] = formulas.check_row(
                     f"d={d}", f"mu={mu} j%{2 * (d - 1)}={residue}",
-                    lattice.correction_n(bt).delta, TABLE1.get(key, 0))
+                    lattice.correction_n(bt).delta,
+                    Fraction(TABLE1.get(key, 0)))
     missing = TABLE1.keys() - rows.keys()
     if missing:
         raise InvariantError(f"listed pairs never reached: {sorted(missing)}")
@@ -128,7 +131,7 @@ def run_table2_check() -> CheckResult:
     return result
 
 
-def run_patel_check(max_d: int = 6) -> CheckResult:
+def run_patel_check(max_d: int) -> CheckResult:
     """The j = 2 display equals sigma_st at the three partitions."""
     result = CheckResult("patel: j=2 display vs sigma_st")
     for d in range(3, max_d + 1):
@@ -273,11 +276,15 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
     return [single, joint, effective, nodal]
 
 
-def run_suites(suite: str, *, radius: int = 3, max_d: int = 5,
-               max_g: int = 16, explore_ties: bool = False) -> list[CheckResult]:
+def run_suites(suite: str, *, radius: int, max_d: int, max_g: int,
+               explore_ties: bool = False) -> list[CheckResult]:
     _check_radius(radius)  # for every suite, not only the one that reads it
+    if max_d < 3:  # no boundary type below d = 3, g = 2: checks would be empty
+        raise DomainError(f"max-d must be >= 3, got {max_d}")
     if max_d > MAX_D:
         raise DomainError(f"max-d must be <= {MAX_D}, got {max_d}")
+    if max_g < 2:
+        raise DomainError(f"max-g must be >= 2, got {max_g}")
     check_type_count(_params_range(max_d, max_g), f"max-g {max_g} at max-d {max_d}")
     out: list[CheckResult] = []
     if suite in ("lattice", "all"):
@@ -286,7 +293,7 @@ def run_suites(suite: str, *, radius: int = 3, max_d: int = 5,
         out.extend(run_identity_suite(max_d=max_d, max_g=max_g,
                                       explore_ties=explore_ties))
         out.append(run_we_square_check())
-        out.append(run_patel_check(max_d=max(max_d, 3)))
+        out.append(run_patel_check(max_d=max_d))
     if suite in ("tables", "all"):
         out.append(run_table1_check())
         out.append(run_table2_check())

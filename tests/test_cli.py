@@ -381,7 +381,7 @@ def test_classes_has_no_tie_flag(capsys):
 TABLE_SHA256 = {
     ("table1", "table"): "8c180073f1abfcdaec57c77e4106179c9e5a5ff4b50d7fb2ad370d78f0db7d8b",
     ("table1", "csv"): "dd04ed7d2472876251ee09a5ce03636ee4c79a2224df1507da2d0a44be1ce929",
-    ("table1", "json"): "b865ae1bce40770adb2487b8402f65a24c215110672d669d3b071c4e8a3d78d3",
+    ("table1", "json"): "a0ac88630c896c89098a9c0b1f081dd5f6a31d7f3756547d4eb9767418bb00e9",
     ("table2 --g 8", "table"): "06de2a030c5b3ce1312a45640dda808976fa28ddb0d25fb6dea6610c3fa5cff1",
     ("table2 --g 8", "csv"): "7f593c8f24c63d4d31260d1e04b51f279884ea58d87a5eecf679463e9b4ecd5f",
     ("table2 --g 8", "json"): "da152cddd31a329f09cf98bcccb6e65226d3e7357f5e1e53babcbc4821900fd7",
@@ -398,6 +398,28 @@ def test_table_command_bytes_are_pinned(command, fmt):
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[command, fmt]
 
 
+# the json value cells of each table command: computed and expected alike
+JSON_VALUE_CELLS = {
+    "table1": ("sigma", "expected"),
+    "table2 --g 8": ("computed", "expected"),
+    "patel --d 5 --g 8": ("coefficient", "sigma_st_at_j2"),
+    "patel --d 3 --g 4": ("coefficient", "sigma_st_at_j2"),  # a SKIP row
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_VALUE_CELLS))
+def test_table_json_values_are_exact_strings(command):
+    # rationals serialize as "p/q" strings, so the two values of a row compare
+    # without conversion; a value that was not computed is null
+    code, text = run_cli(*command.split(), "--format", "json")
+    assert code == 0
+    rows = json.loads(text)
+    assert rows
+    for row in rows:
+        for key in JSON_VALUE_CELLS[command]:
+            assert row[key] is None or isinstance(row[key], str), (key, row)
+
+
 def test_verify_identities_small_range():
     code, text = run_cli("verify", "--suite", "identities",
                          "--max-d", "4", "--max-g", "6")
@@ -405,15 +427,47 @@ def test_verify_identities_small_range():
     assert "sigma_corr1" in text and "RESULT: PASS" in text
 
 
-def test_verify_fails_checks_that_cover_no_cases():
-    # no boundary type has d <= 2, so these checks cover zero cases
-    for suite in ("identities", "lattice"):
-        code, text = run_cli("verify", "--suite", suite, "--max-d", "2")
-        assert code == 1
-        assert "RESULT: FAIL" in text
-        for line in text.splitlines():
-            if line.endswith(": 0 cases checked"):
-                assert line.startswith("[FAIL] ")
+def test_verify_fails_checks_that_cover_no_cases(monkeypatch):
+    # no boundary type has d <= 2, so these checks cover zero cases; the
+    # command rejects such a range, so the suites are run here directly
+    import maroni.cli as cli
+
+    empty = (verify.run_identity_suite(max_d=2, max_g=20)
+             + verify.run_lattice_suite(max_d=2, radius=3))
+    assert empty and all(res.checked == 0 for res in empty)
+    monkeypatch.setattr(cli.verify, "run_suites", lambda *a, **kw: empty)
+    code, text = run_cli("verify")
+    assert code == 1
+    *lines, result = text.splitlines()
+    assert result == "RESULT: FAIL"
+    assert len(lines) == len(empty)
+    for line in lines:
+        assert line.startswith("[FAIL] ") and line.endswith(": 0 cases checked")
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--max-d", "2"], "max-d must be >= 3, got 2"),
+    (["--max-d", "-1"], "max-d must be >= 3, got -1"),
+    (["--max-d", "3", "--max-g", "1"], "max-g must be >= 2, got 1"),
+], ids=["max-d=2", "max-d=-1", "max-g=1"])
+@pytest.mark.parametrize("suite", ["lattice", "identities", "tables", "all"])
+def test_verify_rejects_an_empty_range_for_every_suite(
+    monkeypatch, capsys, suite, bounds, message
+):
+    # the smallest boundary types have d = 3, g = 2: a smaller range would
+    # leave checks with no case, so it is a usage error before any check
+    _forbid_every_suite(monkeypatch)
+    assert main(["verify", "--suite", suite, *bounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_runs_the_smallest_range():
+    code, text = run_cli("verify", "--max-d", "3", "--max-g", "2")
+    assert code == 0
+    assert text.endswith("RESULT: PASS\n")
+    assert ": 0 cases checked" not in text
 
 
 def test_verify_degree_check_compares_matrix_pairing(monkeypatch):
@@ -497,6 +551,17 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     loaded = proc.stdout.split()
     assert "maroni.cli" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+def test_module_import_loads_only_what_the_module_imports():
+    # the package binds no names, so it imports none of its modules itself
+    probe = ("import sys; import maroni.combinatorics; "
+             "print(*sorted(n for n in sys.modules if n.startswith('maroni')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=module_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["maroni", "maroni.combinatorics",
+                                   "maroni.errors"]
 
 
 def test_console_entry_point():

@@ -28,6 +28,8 @@
 9. A published-table row has one verdict: ``formulas.check_row`` is the
    only function that builds a ``CheckRow``, and the table commands and
    their ``verify`` checks compare nothing but a row's status.
+10. The package binds no names: ``maroni/__init__.py`` is its docstring
+    and callers import from the modules.
 """
 
 import ast
@@ -374,3 +376,11 @@ def test_table_verdicts_are_decided_only_by_the_row_builder():
                         f"{node.name} compares {ast.unparse(sub)}")
     assert builders == {"check_row"}
     assert readers == set().union(*ROW_READERS.values())
+
+
+def test_package_init_is_its_docstring_only():
+    tree = ast.parse((ROOT / "src" / "maroni" / "__init__.py").read_text(
+        encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1  # no import, assignment or definition
+
