@@ -28,8 +28,8 @@ Each correction formula is evaluated from its own display; the identities
 sigma_st - sigma_corr1 = correction_n.delta and sigma_st - sigma_corr2 =
 correction_ln.delta are exercised by the verification suites, not assumed
 here.  Also provided: the coefficients of the Hodge and psi classes, the
-j = 2 partial-compactification display, the elliptic-tail gain, and the
-trigonal cross-check table.
+j = 2 partial-compactification display, and the trigonal cross-check
+table.
 """
 
 from __future__ import annotations
@@ -226,43 +226,6 @@ def patel_consistency(params: HurwitzParams) -> list[CheckRow]:
             direct = sigma_st(make_boundary_type(params, 2, mu))
             rows.append(check_row(piece, str(mu), direct, displayed))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# elliptic tails over the j = 2 locus
-
-
-def elliptic_tail_gain(
-    k: int, d: int, d1: int, g1: int, x: int, y: int
-) -> Fraction:
-    """Polynomial part of the coefficient gain from a two-component twist.
-
-    The relevant locus carries two curves of genus g1, g2 covering one end
-    with degrees d1, d2; twisting by y times the first curve upstairs and
-    x times the end component downstairs gains
-
-        (x + k - (y+1)/2) y d1 - x(x-1)(d-1)/2 + (1-g1) y - x
-
-    before the fibre-part terms, which depend on the configuration and are
-    added by the caller.
-    """
-    if y < 0:
-        raise DomainError(f"effective twist needs y >= 0, got {y}")
-    return (
-        (Fraction(x) + k - Fraction(y + 1, 2)) * y * d1
-        - Fraction(x * (x - 1) * (d - 1), 2)
-        + (1 - g1) * y
-        - x
-    )
-
-
-def elliptic_tail_special_value(k: int, d1: int) -> Fraction:
-    """The gain k(k+1)d1/2 - 1 for an elliptic tail (g1 = 1, y = k, x = 0).
-
-    This includes the fibre-part contribution k d1 - 1 of that
-    configuration; it is positive for every (k, d1) except (1, 1).
-    """
-    return Fraction(k * (k + 1) * d1, 2) - 1
 
 
 # ---------------------------------------------------------------------------

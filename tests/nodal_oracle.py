@@ -1,6 +1,6 @@
 """The Fraction scan of the split one-node fibre, kept as a test oracle.
 
-``oracle_nodal_max`` is the check that ``maroni.lattice.
+``oracle_nodal_max`` is the check that ``maroni.nodal.
 verify_trigonal_nodal_max`` made before it moved to the integer form of
 4 f1: it walks the same box, with the same supports, point by point
 through the ``Fraction``-valued ``nodal_f1``.
@@ -8,7 +8,7 @@ through the ``Fraction``-valued ``nodal_f1``.
 
 from __future__ import annotations
 
-from maroni.lattice import nodal_f1, trigonal_nodal_rays
+from maroni.nodal import nodal_f1, trigonal_nodal_rays
 
 
 def oracle_nodal_max(bt, margin: int = 3) -> bool:

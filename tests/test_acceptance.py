@@ -7,6 +7,7 @@ see the per-criterion report lines.
 
 from fractions import Fraction
 
+from elliptic_tail import elliptic_tail_special_value
 import maroni.verify as V
 from maroni.combinatorics import (
     HurwitzParams,
@@ -19,7 +20,6 @@ from maroni.combinatorics import (
 from maroni.chain import ChainModel, a_standard, fibral, intersect
 from maroni.formulas import (
     dp_trigonal_check,
-    elliptic_tail_special_value,
     lambda_coeff,
     sigma_corr1,
     sigma_corr2,

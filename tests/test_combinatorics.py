@@ -114,6 +114,11 @@ def test_make_boundary_type_range_check():
         make_boundary_type(p, p.b - 1, Partition((3,)))
     with pytest.raises(DomainError):
         make_boundary_type(p, 4, Partition((2, 2)))
+    # j + d - n is even for mu = (2|1), so only the range check rejects these
+    for j in (1, p.b - 1):
+        with pytest.raises(DomainError) as err:
+            make_boundary_type(p, j, Partition((2, 1)))
+        assert not isinstance(err.value, ParityError)
 
 
 def test_zero_remainder_example():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from elliptic_tail import elliptic_tail_gain, elliptic_tail_special_value
 from maroni.combinatorics import (
     HurwitzParams,
     Partition,
@@ -14,8 +15,6 @@ from maroni.formulas import (
     build_table,
     check_row,
     dp_trigonal_check,
-    elliptic_tail_gain,
-    elliptic_tail_special_value,
     lambda_coeff,
     patel_consistency,
     patel_partial,

@@ -30,12 +30,17 @@
    their ``verify`` checks compare nothing but a row's status.
 10. The package binds no names: ``maroni/__init__.py`` is its docstring
     and callers import from the modules.
+11. Every name the benchmark's tracer wraps resolves on the module it
+    names, and the roundings take ``explore_ties`` second, where the
+    tracer reads it.  ``perfbench/tracer.py`` is read, never written.
 """
 
 import ast
 import collections
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import runpy
 import sys
@@ -49,6 +54,8 @@ from chain_divisors import add, component
 import maroni.chain as chain
 import maroni.combinatorics as combinatorics
 import maroni.lattice as lattice
+import maroni.nodal as nodal
+import maroni.twist as twist
 from maroni import formulas, verify
 from maroni.cli import main
 from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
@@ -76,13 +83,13 @@ def _forbid(monkeypatch, owner, *names):
 
 
 def test_verify_all_certifies_every_maximum_without_a_box(monkeypatch):
-    _forbid(monkeypatch, lattice.ChainQuadratic, "box_max")
+    _forbid(monkeypatch, twist.ChainQuadratic, "box_max")
     test_benchmark_command_prints_its_golden_output("verify_all")
 
 
 @pytest.mark.parametrize("variant", formulas.VARIANTS)
 def test_classes_path_runs_no_bound_box_or_a(monkeypatch, variant):
-    _forbid(monkeypatch, lattice.ChainQuadratic, "edge_bound", "box_max")
+    _forbid(monkeypatch, twist.ChainQuadratic, "edge_bound", "box_max")
     _forbid(monkeypatch, lattice, "a_standard")
     for d in range(3, 7):
         for k in (1, 2):
@@ -112,18 +119,18 @@ def test_engine_never_calls_the_matrix_pairing(monkeypatch):
 
 def test_nodal_scan_calls_the_fraction_functional_only_to_check(monkeypatch):
     calls = []
-    nodal_f1 = lattice.nodal_f1
+    nodal_f1 = nodal.nodal_f1
 
     def counted(bt, z):
         calls.append(z)
         return nodal_f1(bt, z)
 
-    monkeypatch.setattr(lattice, "nodal_f1", counted)
+    monkeypatch.setattr(nodal, "nodal_f1", counted)
     for g in (2, 4, 8):
         for bt in enumerate_boundary_types(HurwitzParams(3, g)):
             if bt.mu.parts == (1, 1, 1):
                 calls.clear()
-                assert lattice.verify_trigonal_nodal_max(bt)
+                assert nodal.verify_trigonal_nodal_max(bt)
                 assert len(calls) <= 23  # 8 ray points and 15 identity points
 
 
@@ -171,7 +178,7 @@ def test_reference_pairings_stay_exact_on_integers():
         if bt.mu.has_unit_part:
             values.append(lattice.joint_f_value(bt, nvec, xvec))
         if bt.d == 3 and bt.mu.parts == (1, 1, 1):
-            values.append(lattice.nodal_f1(bt, (1, 0, 2, 1)))
+            values.append(nodal.nodal_f1(bt, (1, 0, 2, 1)))
         assert all(type(v) is Fraction for v in values)
 
 
@@ -384,3 +391,15 @@ def test_package_init_is_its_docstring_only():
     assert ast.get_docstring(tree)
     assert len(tree.body) == 1  # no import, assignment or definition
 
+
+def test_every_traced_name_resolves_on_its_module():
+    tracer = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+    for table in (tracer["SPANNED"], tracer["COUNTED"]):
+        for module, names in table.items():
+            owner = importlib.import_module(f"maroni.{module}")
+            for name in names:
+                assert callable(getattr(owner, name, None)), (module, name)
+    for name in ("round_chain", "joint_round"):
+        second = list(inspect.signature(getattr(lattice, name)).parameters.values())[1]
+        assert (second.name, second.kind) == (
+            "explore_ties", inspect.Parameter.POSITIONAL_OR_KEYWORD), name

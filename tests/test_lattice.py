@@ -27,12 +27,12 @@ from maroni.lattice import (
     joint_round,
     round_chain,
     single_round,
-    twist_quadratic,
-    twist_states,
     verify_integer_max,
     verify_joint_max,
-    verify_trigonal_nodal_max,
 )
+from maroni.nodal import verify_trigonal_nodal_max
+import maroni.twist as twist
+from maroni.twist import twist_quadratic, twist_states
 from nodal_oracle import oracle_nodal_max
 from rounding_oracle import (
     ferr_ln,
@@ -442,7 +442,7 @@ def test_edge_bound_is_the_exact_maximum_of_one_edge():
     for _ in range(150):
         p, q = rng.randint(-20, 20), rng.randint(-20, 20)
         w0, w1, mod = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 6)
-        quad = lattice.ChainQuadratic(((p, q),), (w0, w1))
+        quad = twist.ChainQuadratic(((p, q),), (w0, w1))
         box = [(x, g) for x, g in itertools.product(range(-16, 17), repeat=2)
                if (x + g) % mod == 0]
         assert quad.edge_bound(mod) == max(quad.value([s]) for s in box)
@@ -463,21 +463,30 @@ def _verify_all_lattice_types():
 @pytest.mark.parametrize("shift", [1, -1])
 def test_oracles_fall_back_to_the_box_when_the_bound_is_missed(monkeypatch, shift):
     # a bound one above the rounded value (the bound meets it on this range)
-    # sends every oracle to box_max, whose answer it must then return; so
-    # does a wrong bound below the value, which certifies nothing
-    bound = lattice.ChainQuadratic.edge_bound
-    box_max = lattice.ChainQuadratic.box_max
+    # sends every oracle to box_max, whose answer it must then return; a
+    # wrong bound below the value is an invariant failure naming the type,
+    # raised before any box is built
+    bound = twist.ChainQuadratic.edge_bound
+    box_max = twist.ChainQuadratic.box_max
     calls = []
 
     def spy(self, boxes):
         calls.append(self)
         return box_max(self, boxes)
 
-    monkeypatch.setattr(lattice.ChainQuadratic, "edge_bound",
+    monkeypatch.setattr(twist.ChainQuadratic, "edge_bound",
                         lambda self, *a, **kw: bound(self, *a, **kw) + shift)
-    monkeypatch.setattr(lattice.ChainQuadratic, "box_max", spy)
+    monkeypatch.setattr(twist.ChainQuadratic, "box_max", spy)
     oracles = 0
     for bt in _verify_all_lattice_types():
+        if shift < 0:
+            applicable = 1 + bt.mu.has_unit_part
+            for oracle in (verify_integer_max, verify_joint_max)[:applicable]:
+                with pytest.raises(InvariantError, match=(
+                        r"above its edge bound -?\d+ at " + re.escape(str(bt)) + "$")):
+                    oracle(bt, 3)
+                oracles += 1
+            continue
         alpha = single_round(bt).alpha
         quad = single_quadratic(bt)
         dp = box_max(quad, [twist_states(bt.d, _box(a, 3)) for a in alpha]) <= (
@@ -488,7 +497,8 @@ def test_oracles_fall_back_to_the_box_when_the_bound_is_missed(monkeypatch, shif
             quad, best, boxes = _joint_boxes(bt)
             assert verify_joint_max(bt, 3) == (box_max(quad, boxes(3)) <= best)
             oracles += 1
-    assert len(calls) == oracles == 110 + 74  # verify_all's two case counts
+    assert oracles == 110 + 74  # verify_all's two case counts
+    assert len(calls) == (oracles if shift > 0 else 0)
 
 
 def _lowering_move(quad, d, alpha, xi=None):
@@ -879,7 +889,7 @@ def test_correction_residual_bound_fires(monkeypatch):
 def test_nodal_ray_forms():
     from fractions import Fraction as F
 
-    from maroni.lattice import nodal_f1, trigonal_nodal_rays
+    from maroni.nodal import nodal_f1, trigonal_nodal_rays
 
     bt = bt_of(3, 6, 6, (1, 1, 1))
     l, b = bt.l, bt.params.b
@@ -901,8 +911,6 @@ def test_nodal_ray_forms():
 
 
 def test_nodal_max_brute_force():
-    from maroni.lattice import verify_trigonal_nodal_max
-
     for g in (4, 6, 8):
         params = HurwitzParams(3, g)
         for j in range(2, params.b // 2 + 1, 2):
@@ -936,16 +944,16 @@ def test_nodal_integer_scan_matches_fraction_oracle():
 @pytest.mark.parametrize("shift", [Fraction(-1, 4), Fraction(1, 4)])
 def test_nodal_scans_reject_a_wrong_maximum(monkeypatch, shift):
     # a ray maximum moved down is exceeded, one moved up is not attained
-    import maroni.lattice as lattice
+    import maroni.nodal as nodal
     import nodal_oracle
 
-    rays = lattice.trigonal_nodal_rays
+    rays = nodal.trigonal_nodal_rays
 
     def shifted(bt):
         found, best = rays(bt)
         return found, best + shift
 
-    monkeypatch.setattr(lattice, "trigonal_nodal_rays", shifted)
+    monkeypatch.setattr(nodal, "trigonal_nodal_rays", shifted)
     monkeypatch.setattr(nodal_oracle, "trigonal_nodal_rays", shifted)
     for bt in trigonal_types(ks=(1, 2, 3)):
         assert not verify_trigonal_nodal_max(bt)
@@ -959,10 +967,10 @@ def test_nodal_scans_reject_a_wrong_maximum(monkeypatch, shift):
     lambda z: z[0] * z[3],  # cross term: seen at e_0 + e_3 only
 ])
 def test_nodal_form_mismatch_raises(monkeypatch, extra):
-    import maroni.lattice as lattice
+    import maroni.nodal as nodal
 
-    form = lattice._nodal_f1_x4
-    monkeypatch.setattr(lattice, "_nodal_f1_x4",
+    form = nodal._nodal_f1_x4
+    monkeypatch.setattr(nodal, "_nodal_f1_x4",
                         lambda l, b, z: form(l, b, z) + extra(z))
     with pytest.raises(InvariantError,
                        match=r"at d=3 g=\d+ j=\d+ mu=\(1\|1\|1\)$"):
@@ -970,7 +978,7 @@ def test_nodal_form_mismatch_raises(monkeypatch, extra):
 
 
 def test_nodal_applicability():
-    from maroni.lattice import trigonal_nodal_rays
+    from maroni.nodal import trigonal_nodal_rays
 
     with pytest.raises(ApplicabilityError):
         trigonal_nodal_rays(bt_of(3, 4, 4, (3,)))
