@@ -15,6 +15,9 @@ table command, or a failed ``verify`` check), 2 usage error
 (bad input, or a construction that does not apply), 3 internal invariant
 failure (a bug, reported as one line, not a traceback), 141 standard
 output closed early by the reader (``maroni ... | head``; 128 + SIGPIPE).
+``csv`` rows are written as they are computed, ``table`` and ``json`` after
+the last row, so a failure after the first row (exit 2 or 3) leaves the csv
+rows before the failing type on stdout.
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ def _json_cell(value):
 def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
     """Write rows, read once, as an aligned table, csv, or json.
 
-    Cells may be ints, Fractions, strings or None; rationals serialize as
-    exact "p/q" strings in every format, never as floats.
+    csv writes each row as it is read; the table (for its column widths)
+    and json collect every row first.  Cells may be ints, Fractions,
+    strings or None; rationals serialize as exact "p/q" strings in every
+    format, never as floats.
     """
     if fmt == "csv":
         out.write(",".join(header) + "\n")
@@ -77,22 +82,10 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
 
 
 def cmd_classes(args, out) -> int:
-    params = _params(args)
-    table = formulas.build_table(params, args.variant)
-    # build_table computes every row before the first line is written; the
-    # rendered lines are produced lazily, one per row, as _emit_rows reads them
+    table = formulas.build_table(_params(args), args.variant)
     rows = (
-        [
-            r.bt.j,
-            str(r.bt.mu),
-            r.bt.n,
-            r.bt.m,
-            r.bt.r,
-            r.bt.c,
-            r.coefficient,
-            r.variant,
-            r.provenance,
-        ]
+        [r.bt.j, str(r.bt.mu), r.bt.n, r.bt.m, r.bt.r, r.bt.c, r.coefficient,
+         args.variant, r.provenance]
         for r in table
     )
     _emit_rows(CSV_HEADER.split(","), rows, args.format, out)

@@ -35,7 +35,7 @@ table.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import lattice
 from .combinatorics import (
@@ -63,6 +63,8 @@ CONDITIONAL_TAIL = "conditional:unit-tail"
 CORR2_MIN_PROVENANCE = f"{VARIANT_CORR2}({CONDITIONAL_TAIL})"
 # build_table rejects larger d before any row (11 603 types at d = 20, g = 19)
 MAX_D = 20
+# patel rejects larger d before any partition; d = 10 000 takes 0.3 s
+MAX_PATEL_D = 10_000
 
 
 def _hodge_local(bt: BoundaryType) -> Fraction:
@@ -153,39 +155,42 @@ def sigma_min(bt: BoundaryType) -> tuple[Fraction, str]:
 class TableRow(NamedTuple):
     bt: BoundaryType
     coefficient: Fraction
-    variant: str
     provenance: str
 
 
-def build_table(params: HurwitzParams, variant: str) -> tuple[TableRow, ...]:
+def build_table(params: HurwitzParams, variant: str) -> Iterator[TableRow]:
     """The coefficient rows of one variant over all canonical boundary types.
 
-    The corr2 table keeps only the applicable types (a part equal to 1);
-    the other variants have one row per canonical admissible type.  Rows
-    are ordered j ascending, then mu reverse-lexicographic.
+    The input is checked at the call; each row is computed as the returned
+    iterator reaches it.  The corr2 table keeps only the applicable types
+    (a part equal to 1); the other variants have one row per canonical
+    admissible type.  Rows are ordered j ascending, then mu
+    reverse-lexicographic.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     if params.d > MAX_D:
         raise DomainError(f"d must be <= {MAX_D}, got {params.d}")
     check_type_count([params], f"g={params.g} at d={params.d}")
-    rows: list[TableRow] = []
+    return _rows(params, variant)
+
+
+def _rows(params: HurwitzParams, variant: str) -> Iterator[TableRow]:
     for bt in enumerate_boundary_types(params):
         if variant == VARIANT_ST:
-            rows.append(TableRow(bt, sigma_st(bt), variant, "-"))
+            yield TableRow(bt, sigma_st(bt), "-")
         elif variant == VARIANT_CORR1:
-            rows.append(TableRow(bt, sigma_corr1(bt), variant, "-"))
+            yield TableRow(bt, sigma_corr1(bt), "-")
         elif variant == VARIANT_CORR2:
             try:
                 value = sigma_corr2(bt)
             except ApplicabilityError:
                 continue
-            rows.append(TableRow(bt, value, variant, CONDITIONAL_TAIL))
+            yield TableRow(bt, value, CONDITIONAL_TAIL)
         else:
             value, tag = sigma_min(bt)
             prov = tag if tag != VARIANT_CORR2 else CORR2_MIN_PROVENANCE
-            rows.append(TableRow(bt, value, variant, prov))
-    return tuple(rows)
+            yield TableRow(bt, value, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +218,8 @@ def patel_consistency(params: HurwitzParams) -> list[CheckRow]:
     at d = 3 it has no type and its row is SKIP.
     """
     d = params.d
+    if d > MAX_PATEL_D:
+        raise DomainError(f"d must be <= {MAX_PATEL_D}, got {d}")
     pieces = (
         ("Delta", Partition((1,) * d)),
         ("E2", Partition((2, 2) + (1,) * (d - 4)) if d >= 4 else None),

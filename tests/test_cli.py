@@ -35,6 +35,27 @@ def test_classes_csv_contains_known_row():
     assert "4,(1|1|1),3,1,0,0,1/7,st,-" in lines
 
 
+def test_classes_csv_keeps_the_rows_before_a_failing_type(monkeypatch, capsys):
+    # csv rows are written as they are computed: an invariant failure at the
+    # second type leaves the header and the first row on stdout
+    argv = ["classes", "--d", "3", "--g", "2", "--format", "csv"]
+    assert main(argv) == 0
+    header, first = capsys.readouterr().out.splitlines()[:2]
+    sigma_st, calls = formulas.sigma_st, []
+
+    def second_call_fails(bt):
+        calls.append(bt)
+        if len(calls) == 2:
+            raise InvariantError(f"synthetic defect at {bt}")
+        return sigma_st(bt)
+
+    monkeypatch.setattr(formulas, "sigma_st", second_call_fails)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == f"{header}\n{first}\n"
+    assert err == f"error: internal invariant failed: synthetic defect at {calls[1]}\n"
+
+
 def test_classes_usage_error_on_bad_genus():
     code, _ = run_cli("classes", "--d", "3", "--g", "3")
     assert code == 2
@@ -134,6 +155,22 @@ def test_table2_rejects_a_genus_above_the_row_cap(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: g={g + 2} gives {9 * g // 2 + 11} rows (cap {MAX_TYPES})\n"
+
+
+def test_patel_rejects_a_degree_above_the_cap(monkeypatch, capsys):
+    # each piece is a partition with d parts, and sigma_st sums O(d) Fractions
+    cap = formulas.MAX_PATEL_D
+    assert main(["patel", "--d", str(cap), "--g", str(cap - 1)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 3
+
+    def forbidden(parts):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr(formulas, "Partition", forbidden)
+    assert main(["patel", "--d", str(cap + 1), "--g", str(cap)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: d must be <= {cap}, got {cap + 1}\n"
 
 
 def test_patel_command():

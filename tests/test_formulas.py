@@ -181,7 +181,7 @@ def test_sigma_min_provenance():
 
 
 def test_build_table_d3_g2():
-    rows = build_table(HurwitzParams(3, 2), "st")
+    rows = tuple(build_table(HurwitzParams(3, 2), "st"))
     keys = [(r.bt.j, r.bt.mu.parts) for r in rows]
     assert keys == [
         (2, (3,)), (2, (1, 1, 1)), (3, (2, 1)), (4, (3,)), (4, (1, 1, 1)),
@@ -194,15 +194,15 @@ def test_build_table_d3_g2():
 def test_build_table_min_below_st():
     for d, g in [(3, 2), (3, 4), (4, 3), (5, 4)]:
         params = HurwitzParams(d, g)
-        st_rows = build_table(params, "st")
-        min_rows = build_table(params, "min")
+        st_rows = tuple(build_table(params, "st"))
+        min_rows = tuple(build_table(params, "min"))
         assert len(st_rows) == len(min_rows)
         for a, b in zip(st_rows, min_rows):
             assert b.coefficient <= a.coefficient
 
 
 def test_build_table_corr2_only_applicable():
-    rows = build_table(HurwitzParams(4, 3), "corr2")
+    rows = tuple(build_table(HurwitzParams(4, 3), "corr2"))
     assert rows
     for row in rows:
         assert row.bt.mu.has_unit_part
@@ -221,6 +221,25 @@ def test_build_table_d4_g3_contains_imbalance_one():
 def test_build_table_rejects_unknown_variant():
     with pytest.raises(DomainError):
         build_table(HurwitzParams(3, 2), "best")
+
+
+@pytest.mark.parametrize("d, g, variant, message", [
+    (21, 20, "st", "d must be <= 20, got 21"),
+    (3, 2, "best", "unknown variant 'best'"),
+    (20, 57, "min", "g=57 at d=20 gives 23516 boundary types (cap 20000)"),
+])
+def test_build_table_checks_its_input_at_the_call(monkeypatch, d, g, variant,
+                                                  message):
+    # the rows are lazy, but a bad input raises before any row is asked for
+    import maroni.formulas as formulas
+
+    def forbidden(params):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(formulas, "enumerate_boundary_types", forbidden)
+    with pytest.raises(DomainError) as exc:
+        build_table(HurwitzParams(d, g), variant)
+    assert str(exc.value) == message
 
 
 def test_patel_partial_displays():

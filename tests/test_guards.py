@@ -17,7 +17,8 @@
    reads builds one A, a partition derives its lcm once, and each joint
    rounding derives its numerators once.
 5. The ``classes`` bytes of every variant stay as they are: one sha256
-   per variant over the csv output for d = 3..8, k = 1, 2.
+   per variant over the csv output for d = 3..8, k = 1, 2, and one per
+   variant and format over the table and json output at two (d, g).
 6. The package is stdlib-only: no declared dependency, and every absolute
    import in ``src/maroni`` is a standard-library module or ``maroni``.
 7. The tie search has one path, ``verify --tie-exhaustive`` down to the
@@ -93,7 +94,8 @@ def test_classes_path_runs_no_bound_box_or_a(monkeypatch, variant):
     _forbid(monkeypatch, lattice, "a_standard")
     for d in range(3, 7):
         for k in (1, 2):
-            assert formulas.build_table(HurwitzParams(d, (d - 1) * k), variant)
+            assert tuple(formulas.build_table(HurwitzParams(d, (d - 1) * k),
+                                              variant))
 
 
 def test_engine_never_calls_the_matrix_pairing(monkeypatch):
@@ -105,7 +107,7 @@ def test_engine_never_calls_the_matrix_pairing(monkeypatch):
     for d in range(3, 6):
         for k in (1, 2):
             params = HurwitzParams(d, (d - 1) * k)
-            assert formulas.build_table(params, "min")
+            assert tuple(formulas.build_table(params, "min"))
             for bt in enumerate_boundary_types(params):
                 joint = bt.mu.has_unit_part
                 lattice.correction_n(bt)
@@ -306,6 +308,33 @@ def test_classes_bytes_of_every_variant_are_pinned(variant):
             assert code == 0
             digest.update(out.getvalue().encode())
     assert digest.hexdigest() == CLASSES_SHA256[variant]
+
+
+# sha256 of the concatenated `classes` output in the two collecting formats,
+# (d, g) = (4, 3) then (5, 8); computed before the rows were streamed
+CLASSES_TABLE_JSON_SHA256 = {
+    ("corr1", "json"): "adf92f2d7016e7c2516b3caa8814ed4c548397f2e86ab90643145255705eda5a",
+    ("corr1", "table"): "d558305ebcb0bfcc8967a3e09208f033a8f78108c39dc2193bee53a5c187b18b",
+    ("corr2", "json"): "0321ae198a3dc50397c2910613d2bafdb6a1ab751be58701eb55e073ddc68383",
+    ("corr2", "table"): "fcbc1cc9ee93b84dbe8f18d79e0196db65cd932b27562855558da10b74340991",
+    ("min", "json"): "d1eeb4329ef3c5e8eb243c22b742b2827989bf6fea43eed8244e57931ebeb0df",
+    ("min", "table"): "a6c38270862de62105516b7dbe2a0eed5ea65073b56c2240ed69c6a7c0cf93c2",
+    ("st", "json"): "bee4809fa4de7b2df4faac86f705f3f7f82a152e72b1c321e8fab0fe0b6a4bc7",
+    ("st", "table"): "7c9f52df59a738a2b7eeda0bfd68ee22dd0b562a341d8cb7fd117ae1e29f5d9a",
+}
+
+
+@pytest.mark.parametrize("variant, fmt", sorted(CLASSES_TABLE_JSON_SHA256))
+def test_classes_table_and_json_bytes_are_pinned(variant, fmt):
+    digest = hashlib.sha256()
+    for d, g in ((4, 3), (5, 8)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["classes", "--d", str(d), "--g", str(g),
+                         "--variant", variant, "--format", fmt])
+        assert code == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == CLASSES_TABLE_JSON_SHA256[variant, fmt]
 
 
 def test_package_is_stdlib_only():

@@ -29,7 +29,7 @@ def every_record():
         params, mu, mu.profile, bt, ChainModel(2), fibral(ChainModel(2), [1, 0, 0]),
         a_standard(bt), correction.point, correction, correction.quad,
         nodal.trigonal_nodal_rays(bt)[0][0],
-        formulas.build_table(params, "st")[0], formulas.dp_trigonal_check(4)[0],
+        tuple(formulas.build_table(params, "st"))[0], formulas.dp_trigonal_check(4)[0],
     ]
     return {type(r).__name__: r for r in records}
 
