@@ -67,7 +67,8 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
         payload = [
             {h: _json_cell(v) for h, v in zip(header, row)} for row in rows
         ]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        json.dump(payload, out, indent=2)
+        out.write("\n")
     else:
         cells = [[_text(v) for v in row] for row in rows]
         widths = [

@@ -47,7 +47,7 @@ from .combinatorics import (
     enumerate_boundary_types,
     make_boundary_type,
 )
-from .errors import ApplicabilityError, DomainError
+from .errors import DomainError
 
 VARIANT_ST = "st"
 VARIANT_CORR1 = "corr1"
@@ -145,10 +145,8 @@ def sigma_min(bt: BoundaryType) -> tuple[Fraction, str]:
         (sigma_st(bt), VARIANT_ST),
         (sigma_corr1(bt), VARIANT_CORR1),
     ]
-    try:
+    if bt.mu.has_unit_part:
         values.append((sigma_corr2(bt), VARIANT_CORR2))
-    except ApplicabilityError:
-        pass
     return min(values, key=lambda item: item[0])  # the first achiever wins
 
 
@@ -182,11 +180,8 @@ def _rows(params: HurwitzParams, variant: str) -> Iterator[TableRow]:
         elif variant == VARIANT_CORR1:
             yield TableRow(bt, sigma_corr1(bt), "-")
         elif variant == VARIANT_CORR2:
-            try:
-                value = sigma_corr2(bt)
-            except ApplicabilityError:
-                continue
-            yield TableRow(bt, value, CONDITIONAL_TAIL)
+            if bt.mu.has_unit_part:
+                yield TableRow(bt, sigma_corr2(bt), CONDITIONAL_TAIL)
         else:
             value, tag = sigma_min(bt)
             prov = tag if tag != VARIANT_CORR2 else CORR2_MIN_PROVENANCE

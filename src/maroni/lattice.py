@@ -50,8 +50,11 @@ Scales.  Each correction is an integer over the scale 8(d-1)k, k = 1 for
 the single twist and (d-1)(d-2) for the joint one, with S = D^2 sum_sq and
 the form's value 2(d-1) f: 8(d-1)k f_max = 8(d-1)k f + S + defect =
 4k value + S + defect, where the defect is 0 for the single twist and
-m(d-1)k for the joint one.  The fibre term f_A (-mc/2 if c > 0, else 0)
-is the integer -mc scale/2 there; only delta, fmax and value are Fractions.
+m(d-1)k for the joint one.  Each correction checks it against the closed
+form 8(d-1)k f_max: m a^2 + Sd for the single twist, (d-1)(m(l^2 +
+(d-2)a^2) + (d-1)Sd) for the joint one, Sd the sum of squared delta steps.
+The fibre term f_A (-mc/2 if c > 0, else 0) is the integer -mc scale/2
+there; only delta, fmax and value are Fractions.
 """
 
 from __future__ import annotations
@@ -199,11 +202,6 @@ def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
         raise InvariantError(f"{err} at {bt}") from err
 
 
-def fmax_n(bt: BoundaryType) -> Fraction:
-    """Single-twist critical value (m a^2 + sum of delta steps^2)/(8(d-1))."""
-    return Fraction(bt.m * bt.a**2 + bt.delta_square_sum, 8 * (bt.d - 1))
-
-
 def _parts(bt: BoundaryType, point: RoundedPoint, xs=None):
     """A rounded point with its A and twist form (branch numerators xs)."""
     std = a_standard(bt)
@@ -227,22 +225,25 @@ def _correction(bt, point, std, quad) -> CorrectionResult:
     then A + G >= 0 (g_i >= alpha_i of A; its R_m coefficient is 0, so no
     fibre part is left), the residual bound m/4 >= sum_sq and delta >= 0.
     """
+    d, m, a, steps = bt.d, bt.m, bt.a, bt.delta_square_sum
     if point.xi is None:
-        k, defect, fmax, label = 1, 0, fmax_n(bt), "correction"
+        k, defect, label = 1, 0, "correction"
+        closed = m * a * a + steps
     else:
-        k = (bt.d - 1) * (bt.d - 2)
-        defect, fmax, label = bt.m * (bt.d - 1) * k, fmax_ln(bt), "joint correction"
-    s, scale = point.scaled_sum_sq, 8 * (bt.d - 1) * k
-    states = twist_states(bt.d, point.alpha, point.xi)
+        k = (d - 1) * (d - 2)
+        defect, label = m * (d - 1) * k, "joint correction"
+        closed = (d - 1) * (m * (bt.l ** 2 + (d - 2) * a * a) + (d - 1) * steps)
+    s, scale = point.scaled_sum_sq, 8 * (d - 1) * k
+    states = twist_states(d, point.alpha, point.xi)
     f_num = 4 * k * quad.value(states)
     fmax_num = f_num + s + defect
-    if fmax_num * fmax.denominator != fmax.numerator * scale:
+    if fmax_num != closed:
         raise InvariantError(f"rounded {label} value mismatch at {bt}")
-    if min(g - a for (_, g), a in zip(states, std.alpha)) < 0:
+    if min(g - alpha for (_, g), alpha in zip(states, std.alpha)) < 0:
         raise InvariantError(f"A + G of the {label} not effective at {bt}")
-    if bt.m * point.den**2 < 4 * s:
+    if m * point.den**2 < 4 * s:
         raise InvariantError(f"residual bound violated at {bt}")
-    delta_num = f_num - (bt.m * bt.c * scale // 2 if bt.c > 0 else 0)  # f + f_A
+    delta_num = f_num - (m * bt.c * scale // 2 if bt.c > 0 else 0)  # f + f_A
     if delta_num < 0:
         raise InvariantError(f"negative {label} {Fraction(delta_num, scale)} at {bt}")
     return CorrectionResult(point, std, quad, scale, delta_num, fmax_num, f_num)
@@ -339,14 +340,6 @@ def joint_f_value(bt: BoundaryType, nvec, xvec) -> Fraction:
         - (d - 1) * theta_dot(g_div)
         + 2 * intersect(g_div, a_div)
     )
-
-
-def fmax_ln(bt: BoundaryType) -> Fraction:
-    """Joint critical value, one Fraction over 8(d-1)(d-2)."""
-    _require_unit_part(bt)
-    d, m, a, l = bt.d, bt.m, bt.a, bt.l
-    return Fraction(m * (l * l + (d - 2) * a * a) + (d - 1) * bt.delta_square_sum,
-                    8 * (d - 1) * (d - 2))
 
 
 def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:

@@ -1,17 +1,17 @@
 """The upstairs twist of a one-node trigonal fibre with a split cover.
 
-``nodal_f1`` is the functional as one ``Fraction``, ``trigonal_nodal_rays``
-its maximum ray by ray, and ``verify_trigonal_nodal_max`` the check that
-no effective point beats that maximum.  The check scans an integer form
-of 4 f1, proved equal to ``nodal_f1`` at the 15 points that fix a
-quadratic in four variables.
+``nodal_f1`` is the functional as one ``Fraction``, and
+``verify_trigonal_nodal_max`` the check that its effective maximum is the
+closed form max(l, b-l)^2/16.  The check scans an integer form of 4 f1,
+proved equal to ``nodal_f1`` at the 15 points that fix a quadratic in
+four variables.  The ray-by-ray derivation of that maximum through
+``nodal_f1`` is the tests' reference (``tests/nodal_oracle.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
 
 from .combinatorics import BoundaryType
 from .errors import ApplicabilityError, DomainError, InvariantError
@@ -36,11 +36,13 @@ from .errors import ApplicabilityError, DomainError, InvariantError
 #     C_1, T_2:  -b_2^2 + b_2 (b - l)
 #     T_1, C_2:  -b_1^2 + b_1 l
 #
-# so the effective maximum is max(l^2, (b - l)^2)/16.  A quadratic in four
-# variables is fixed by its values at the 15 points 0, e_i, 2e_i, e_i + e_k
-# (i < k), so agreeing with 4 nodal_f1 there proves the integer form equal.
+# With M = max(l, b - l) and s the sum of the T multiplicities each
+# quadrant is at most M s - s^2 <= M^2/4, reached at s = M/2 on one T ray,
+# so the effective maximum of 4 f1 is M^2/4 (``_nodal_max_x4``).  A
+# quadratic in four variables is fixed by its values at the 15 points 0,
+# e_i, 2e_i, e_i + e_k (i < k), so agreeing with 4 nodal_f1 there proves
+# the integer form equal.
 
-_NODAL_BASIS = ("C1", "T1", "C2", "T2")
 _NODAL_GRAM = (
     (-2, 0, 1, 1),
     (0, -1, 1, 0),
@@ -76,43 +78,6 @@ def nodal_f1(bt: BoundaryType, z) -> Fraction:
     return Fraction(2 * (z_sq - z_u) - (push_sq - push_w), 4)
 
 
-class NodalRay(NamedTuple):
-    """The functional restricted to one effective ray t -> t . curve."""
-
-    label: str
-    quadratic: Fraction
-    linear: Fraction
-    critical_point: Fraction | None
-    critical_value: Fraction
-
-
-def trigonal_nodal_rays(bt: BoundaryType) -> tuple[tuple[NodalRay, ...], Fraction]:
-    """Ray-by-ray maxima of the upstairs-twist functional, and their max.
-
-    The degree-2 rays carry the zero form; the degree-1 rays carry
-    t(l - t)/4 and t(b - l - t)/4, so the effective maximum is
-    max(l^2, (b-l)^2)/16 (attained at an integer since l is even here).
-    """
-    _require_split_nodal(bt)
-    rays = []
-    for idx, label in enumerate(_NODAL_BASIS):
-        unit = [0] * 4
-        unit[idx] = 1
-        f1 = nodal_f1(bt, unit)
-        f2 = nodal_f1(bt, [2 * v for v in unit])
-        quad = Fraction(f2 - 2 * f1, 2)
-        lin = f1 - quad
-        if quad < 0:
-            crit = -lin / (2 * quad)
-            value = -(lin**2) / (4 * quad)
-        else:
-            if quad != 0 or lin != 0:
-                raise InvariantError(f"unbounded ray {label} at {bt}")
-            crit, value = None, Fraction(0)
-        rays.append(NodalRay(label, quad, lin, crit, value))
-    return tuple(rays), max(r.critical_value for r in rays)
-
-
 def _nodal_f1_x4(l: int, b: int, z) -> int:
     """4 f1 at the multiplicities z of (C_1, T_1, C_2, T_2), in integers."""
     c1, t1, c2, t2 = z
@@ -125,18 +90,24 @@ _NODAL_POINTS = [tuple(sum(i == t for i in ix) for t in range(4)) for ix in (
     *itertools.combinations(range(4), 2))]  # 0, e_i, 2e_i, e_i + e_k
 
 
+def _nodal_max_x4(l: int, b: int) -> int:
+    """4 max(l, b-l)^2/16, the effective maximum of 4 f1 (l and b are even)."""
+    return max(l, b - l) ** 2 // 4
+
+
 def verify_trigonal_nodal_max(bt: BoundaryType, margin: int = 3) -> bool:
     """Brute-force check of the effective maximum of the nodal functional.
 
     Scans all integer effective combinations with coordinates up to the
     critical scale plus ``margin``, excluding supports that contain a full
-    preimage C_i + T_i; True iff none exceeds the ray maximum and it is
-    attained (both critical points being integral for admissible types).
-    The scan uses the integer 4 f1, first proved equal to 4 ``nodal_f1``.
+    preimage C_i + T_i; True iff none exceeds the closed-form maximum and
+    it is attained (both critical points being integral for admissible
+    types).  The scan uses the integer 4 f1, first proved equal to 4
+    ``nodal_f1``.
     """
     if margin < 0:
         raise DomainError("margin must be >= 0")
-    _, effective_max = trigonal_nodal_rays(bt)
+    _require_split_nodal(bt)
     l, b = bt.l, bt.params.b
     for z in _NODAL_POINTS:
         if _nodal_f1_x4(l, b, z) != 4 * nodal_f1(bt, z):
@@ -145,4 +116,4 @@ def verify_trigonal_nodal_max(bt: BoundaryType, margin: int = 3) -> bool:
     # one side's allowed (C_i, T_i) multiplicities: never both non-zero
     side = [(a, 0) for a in range(bound + 1)] + [(0, t) for t in range(1, bound + 1)]
     values = (_nodal_f1_x4(l, b, (*p1, *p2)) for p1 in side for p2 in side)
-    return max(values, default=None) == 4 * effective_max
+    return max(values, default=None) == _nodal_max_x4(l, b)

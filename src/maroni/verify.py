@@ -20,7 +20,7 @@ from .combinatorics import (
     enumerate_partitions,
     make_boundary_type,
 )
-from .errors import ApplicabilityError, DomainError, InvariantError
+from .errors import DomainError, InvariantError
 
 # fixed check ranges: the lattice oracles run at g = (d-1)k, k in LATTICE_KS,
 # on chains with m <= LATTICE_MAX_LCM
@@ -173,10 +173,7 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             pt = res1.point
             if res1.delta_num < 0 or bt.m * pt.den**2 < 4 * pt.scaled_sum_sq:
                 nonneg.fail(f"single twist at {bt}")
-            try:
-                res2 = lattice.correction_ln(bt)
-            except ApplicabilityError:
-                res2 = None
+            res2 = lattice.correction_ln(bt) if bt.mu.has_unit_part else None
             if res2 is not None:
                 corr2_id.count()
                 if formulas.sigma_corr2(bt) != st - res2.delta:
@@ -261,14 +258,12 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
                 if not lattice.verify_integer_max(bt, radius):
                     single.fail(str(bt))
                     lattice.correction_n(bt)
-                try:
+                if bt.mu.has_unit_part:
+                    joint.count()
+                    effective.count()
                     if not lattice.verify_joint_max(bt, radius):
                         joint.fail(str(bt))
                         lattice.correction_ln(bt)
-                    joint.count()
-                    effective.count()
-                except ApplicabilityError:
-                    pass
                 if d == 3 and bt.mu.parts == (1, 1, 1):
                     nodal.count()
                     if not lattice.verify_trigonal_nodal_max(bt, radius):

@@ -561,6 +561,27 @@ def test_library_errors_map_to_exit_codes(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classes", "--d", "4", "--g", "3", "--variant", "min", "--format", "csv"],
+    ["classes", "--d", "4", "--g", "3", "--variant", "corr2", "--format", "csv"],
+    ["verify", "--suite", "identities", "--max-d", "3", "--max-g", "2"],
+    ["verify", "--suite", "lattice", "--max-d", "3"],
+], ids=["classes-min", "classes-corr2", "verify-identities", "verify-lattice"])
+def test_a_raising_joint_guard_is_never_read_as_not_applicable(
+        monkeypatch, capsys, argv):
+    # whether the joint twist applies is asked of the type, so a guard that
+    # raises on a type with a part equal to 1 ends the run (exit 2) instead
+    # of dropping that type's corr2 row, min candidate or joint check
+    import maroni.lattice as lattice
+
+    def raising(bt):
+        raise ApplicabilityError(f"synthetic guard at {bt}")
+
+    monkeypatch.setattr(lattice, "_require_unit_part", raising)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: synthetic guard at d=")
+
+
 def module_env():
     # the child imports the same package as this process, installed or not
     src = str(Path(maroni.__file__).resolve().parents[1])

@@ -180,6 +180,20 @@ def test_sigma_min_provenance():
     assert tag == "corr2" and value == sigma_corr2(bt)
 
 
+def test_sigma_min_is_the_first_least_candidate():
+    # the least of st, corr1 and (with a part equal to 1) corr2, and on a
+    # tie the first of them in that order
+    ties = 0
+    for bt in small_types():
+        candidates = [(sigma_st(bt), "st"), (sigma_corr1(bt), "corr1")]
+        if bt.mu.has_unit_part:
+            candidates.append((sigma_corr2(bt), "corr2"))
+        least = min(value for value, _ in candidates)
+        assert sigma_min(bt) == next(c for c in candidates if c[0] == least)
+        ties += sum(value == least for value, _ in candidates) > 1
+    assert ties > 0
+
+
 def test_build_table_d3_g2():
     rows = tuple(build_table(HurwitzParams(3, 2), "st"))
     keys = [(r.bt.j, r.bt.mu.parts) for r in rows]

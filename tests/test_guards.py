@@ -5,8 +5,10 @@
 2. The engine runs in integers: the ``Fraction`` matrix pairing
    ``intersect`` is only the reference that tests and ``verify`` compare
    with, so no engine path may call it.  Likewise the nodal scan calls the
-   ``Fraction`` functional ``nodal_f1`` only at its 8 ray points and 15
-   identity points, and each correction builds A once.
+   ``Fraction`` functional ``nodal_f1`` only at its 15 identity points,
+   and each correction builds A once.  Whether the joint twist applies is
+   asked of the type: no engine path catches ``ApplicabilityError``, which
+   only ``cli`` turns into exit 2.
 3. The ``Fraction`` references stay exact: on integer divisors and points
    they return ``Fraction``s, and every divisor coefficient is one (an
    ``int`` coefficient would turn ``theta_dot(a_div) / 2`` into a float).
@@ -133,7 +135,21 @@ def test_nodal_scan_calls_the_fraction_functional_only_to_check(monkeypatch):
             if bt.mu.parts == (1, 1, 1):
                 calls.clear()
                 assert nodal.verify_trigonal_nodal_max(bt)
-                assert len(calls) <= 23  # 8 ray points and 15 identity points
+                assert len(calls) <= 15  # the 15 identity points
+
+
+def test_no_engine_path_catches_an_applicability_error():
+    # a type the joint twist does not apply to is told by bt.mu.has_unit_part;
+    # catching the error would drop a row or a check on a raising bug
+    for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {getattr(n, "id", getattr(n, "attr", None))
+                          for n in ast.walk(node.type)}
+                assert "ApplicabilityError" not in caught, (
+                    f"{path.name}:{node.lineno} catches ApplicabilityError")
 
 
 def test_each_correction_builds_standard_a_once(monkeypatch):
@@ -280,10 +296,11 @@ def test_lattice_suite_rounds_and_builds_a_once_per_twist_and_type(monkeypatch):
              for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k))
              if bt.m <= verify.LATTICE_MAX_LCM]
     assert len(types) == 110  # verify_all's single-twist case count
-    # joint_round runs on every type and raises where no part is 1
-    assert counts["single_round"] == counts["joint_round"] == collections.Counter(types)
-    assert counts["a_standard"] == collections.Counter(
-        types + [bt for bt in types if bt.mu.has_unit_part])
+    # joint_round runs only where the joint twist applies (a part equal to 1)
+    applicable = [bt for bt in types if bt.mu.has_unit_part]
+    assert counts["single_round"] == collections.Counter(types)
+    assert counts["joint_round"] == collections.Counter(applicable)
+    assert counts["a_standard"] == collections.Counter(types + applicable)
 
 
 # sha256 of the concatenated `classes --format csv` output, d = 3..8 and

@@ -21,8 +21,6 @@ from maroni.lattice import (
     correction_ln,
     correction_n,
     f_twist,
-    fmax_ln,
-    fmax_n,
     joint_f_value,
     joint_round,
     round_chain,
@@ -30,10 +28,10 @@ from maroni.lattice import (
     verify_integer_max,
     verify_joint_max,
 )
-from maroni.nodal import verify_trigonal_nodal_max
+from maroni.nodal import _nodal_max_x4, nodal_f1, verify_trigonal_nodal_max
 import maroni.twist as twist
 from maroni.twist import twist_quadratic, twist_states
-from nodal_oracle import oracle_nodal_max
+from nodal_oracle import oracle_nodal_max, trigonal_nodal_rays
 from rounding_oracle import (
     ferr_ln,
     oracle_critical_n,
@@ -118,20 +116,20 @@ def test_critical_point_examples():
 
 
 def test_fmax_examples():
-    assert fmax_n(bt_of(3, 4, 4, (3,))) == Fraction(5, 4)
+    assert oracle_fmax_n(bt_of(3, 4, 4, (3,))) == Fraction(5, 4)
     # balanced partition with c = 0: j = 0 mod 2(d-1)
     for d in (3, 4, 5):
         bt = bt_of(d, d - 1, 2 * (d - 1), (1,) * d)
         assert bt.c == 0
-        assert fmax_n(bt) == Fraction(d - 1, 8)
-    assert fmax_n(bt_of(4, 3, 5, (4,))) == Fraction(7, 2)
+        assert oracle_fmax_n(bt) == Fraction(d - 1, 8)
+    assert oracle_fmax_n(bt_of(4, 3, 5, (4,))) == Fraction(7, 2)
 
 
 def test_fmax_equals_f_at_critical_point():
     for bt in small_types():
         crit = oracle_critical_n(bt)
         n = fibral(ChainModel(bt.m), crit + [0])
-        assert f_twist(bt, n) == fmax_n(bt)
+        assert f_twist(bt, n) == oracle_fmax_n(bt)
 
 
 def test_fmax_bounds_f_near_critical_point():
@@ -145,7 +143,7 @@ def test_fmax_bounds_f_near_critical_point():
         crit = oracle_critical_n(bt)
         chain = ChainModel(bt.m)
         centers = [round(t) for t in crit]
-        fmax = fmax_n(bt)
+        fmax = oracle_fmax_n(bt)
         for h in itertools.product(range(-3, 4), repeat=bt.m):
             coords = [c + dh for c, dh in zip(centers, h)]
             assert f_twist(bt, fibral(chain, coords + [0])) <= fmax
@@ -676,9 +674,9 @@ def test_joint_value_matches_closed_form():
             continue
         x, g = oracle_joint_critical(bt)
         nvec = [Fraction(gi + xi, bt.d - 1) for gi, xi in zip(g, x)]
-        assert joint_f_value(bt, nvec, x) == fmax_ln(bt)
+        assert joint_f_value(bt, nvec, x) == oracle_fmax_ln(bt)
         res = correction_ln(bt)
-        assert res.value == fmax_ln(bt) + ferr_ln(bt, res.point.sum_sq)
+        assert res.value == oracle_fmax_ln(bt) + ferr_ln(bt, res.point.sum_sq)
 
 
 def test_joint_correction_tail_values():
@@ -802,14 +800,14 @@ def test_rounding_tie_check_names_the_type(monkeypatch, rounding):
         rounding(bt_of(*CHECKED_TYPE), True)
 
 
-@pytest.mark.parametrize("target, correction",
-                         [("fmax_n", correction_n), ("fmax_ln", correction_ln)])
-def test_correction_value_check_fires(monkeypatch, target, correction):
-    # a closed form off by 1/2 disagrees with the integer quadratic
-    import maroni.lattice as lattice
-
-    closed_form = getattr(lattice, target)
-    monkeypatch.setattr(lattice, target, lambda bt: closed_form(bt) + HALF)
+@pytest.mark.parametrize("correction", [correction_n, correction_ln])
+def test_correction_value_check_fires(monkeypatch, correction):
+    # a twist form whose value at the rounded point is off by 1 disagrees
+    # with the closed form (a node term shifted at CHECKED_TYPE, where g_0
+    # is 0, would not change it)
+    value = twist.ChainQuadratic.value
+    monkeypatch.setattr(twist.ChainQuadratic, "value",
+                        lambda quad, states: value(quad, states) + 1)
     with pytest.raises(InvariantError,
                        match=r"value mismatch at d=3 g=4 j=4 mu=\(1\|1\|1\)"):
         correction(bt_of(*CHECKED_TYPE))
@@ -889,8 +887,6 @@ def test_correction_residual_bound_fires(monkeypatch):
 def test_nodal_ray_forms():
     from fractions import Fraction as F
 
-    from maroni.nodal import nodal_f1, trigonal_nodal_rays
-
     bt = bt_of(3, 6, 6, (1, 1, 1))
     l, b = bt.l, bt.params.b
     rays, best = trigonal_nodal_rays(bt)
@@ -943,17 +939,17 @@ def test_nodal_integer_scan_matches_fraction_oracle():
 
 @pytest.mark.parametrize("shift", [Fraction(-1, 4), Fraction(1, 4)])
 def test_nodal_scans_reject_a_wrong_maximum(monkeypatch, shift):
-    # a ray maximum moved down is exceeded, one moved up is not attained
+    # a maximum of f1 moved down is exceeded, one moved up is not attained;
+    # the integer scan compares 4 f1, so its closed form moves by 4 shift
     import maroni.nodal as nodal
     import nodal_oracle
 
-    rays = nodal.trigonal_nodal_rays
-
     def shifted(bt):
-        found, best = rays(bt)
+        found, best = trigonal_nodal_rays(bt)
         return found, best + shift
 
-    monkeypatch.setattr(nodal, "trigonal_nodal_rays", shifted)
+    monkeypatch.setattr(nodal, "_nodal_max_x4",
+                        lambda l, b: _nodal_max_x4(l, b) + int(4 * shift))
     monkeypatch.setattr(nodal_oracle, "trigonal_nodal_rays", shifted)
     for bt in trigonal_types(ks=(1, 2, 3)):
         assert not verify_trigonal_nodal_max(bt)
@@ -978,12 +974,18 @@ def test_nodal_form_mismatch_raises(monkeypatch, extra):
 
 
 def test_nodal_applicability():
-    from maroni.nodal import trigonal_nodal_rays
+    for check in (verify_trigonal_nodal_max, trigonal_nodal_rays):
+        with pytest.raises(ApplicabilityError):
+            check(bt_of(3, 4, 4, (3,)))
+        with pytest.raises(ApplicabilityError):
+            check(bt_of(4, 3, 2, (1, 1, 1, 1)))
 
-    with pytest.raises(ApplicabilityError):
-        trigonal_nodal_rays(bt_of(3, 4, 4, (3,)))
-    with pytest.raises(ApplicabilityError):
-        trigonal_nodal_rays(bt_of(4, 3, 2, (1, 1, 1, 1)))
+
+def test_nodal_closed_form_is_the_ray_maximum():
+    types = list(trigonal_types(ks=range(1, 21)))  # g = 2..40
+    assert len(types) == 230
+    for bt in types:
+        assert _nodal_max_x4(bt.l, bt.params.b) == 4 * trigonal_nodal_rays(bt)[1]
 
 
 def test_rounding_defect_two_routes():

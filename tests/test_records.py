@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from maroni import formulas, lattice, nodal
+from maroni import formulas, lattice
 from maroni.chain import ChainModel, FibralDivisor, a_standard, fibral
 from maroni.combinatorics import HurwitzParams, Partition, make_boundary_type
 from maroni.errors import DomainError
@@ -28,7 +28,6 @@ def every_record():
     records = [
         params, mu, mu.profile, bt, ChainModel(2), fibral(ChainModel(2), [1, 0, 0]),
         a_standard(bt), correction.point, correction, correction.quad,
-        nodal.trigonal_nodal_rays(bt)[0][0],
         tuple(formulas.build_table(params, "st"))[0], formulas.dp_trigonal_check(4)[0],
     ]
     return {type(r).__name__: r for r in records}
@@ -41,7 +40,7 @@ def test_every_record_type_is_covered():
     assert RECORD_NAMES == sorted([
         "BoundaryType", "ChainModel", "ChainQuadratic", "CheckRow",
         "CorrectionResult", "FibralDivisor", "GcdProfile", "HurwitzParams",
-        "NodalRay", "Partition", "RoundedPoint", "StandardA", "TableRow"])
+        "Partition", "RoundedPoint", "StandardA", "TableRow"])
 
 
 @pytest.mark.parametrize("name", RECORD_NAMES)
