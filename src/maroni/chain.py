@@ -15,8 +15,8 @@ theta pairs as theta.D = -e_0 - e_m.
 The engine needs only the degrees D.R_i, second differences of the
 coefficients (``component_degrees``: O(m), integers for integral D); the
 matrix pairing ``intersect`` is kept as their reference.  It pairs the
-integer numerators of both sides over their common denominators and
-returns one ``Fraction``.
+integer numerators of both sides over their common denominators through
+the one matrix, ``ChainModel.pairing``, and returns one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -99,20 +99,15 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
 def intersect(d1: FibralDivisor, d2: FibralDivisor) -> Fraction:
     """Bilinear symmetric pairing from the component intersection matrix.
 
-    Each side is put over its common denominator; the matrix rows pair the
-    integer numerators, and one ``Fraction`` is built at the end.
+    Each side is put over its common denominator; the entries
+    ``ChainModel.pairing`` on the band |i - k| <= 1 pair the integer
+    numerators, and one ``Fraction`` is built at the end.
     """
     _check_same_chain(d1, d2)
-    m = d1.chain.m
+    chain, m = d1.chain, d1.chain.m
     (e, den_e), (f, den_f) = (_over_common_denominator(d.coeffs) for d in (d1, d2))
-    total = 0
-    for i in range(m + 1):
-        row = (-1 if i in (0, m) else -2) * f[i]
-        if i > 0:
-            row += f[i - 1]
-        if i < m:
-            row += f[i + 1]
-        total += e[i] * row
+    total = sum(e[i] * chain.pairing(i, k) * f[k] for i in range(m + 1)
+                for k in range(max(i - 1, 0), min(i + 1, m) + 1))
     return Fraction(total, den_e * den_f)
 
 
@@ -139,7 +134,8 @@ def component_degrees(e) -> tuple:
 class StandardA(NamedTuple):
     """The standard fibre-supported twist divisor A of a boundary type.
 
-    Writing -A = sum_{i<m} alpha_i R_i with alpha_i = ((m-i)c - delta_i)/2,
+    Writing -A = sum_{i<m} alpha_i R_i with alpha_i = ((m-i)c - delta_i)/2
+    (half of ``BoundaryType.chain_nums(c)``),
     every alpha_i is an integer and the restriction degrees A . R_i are
     d - n - r on R_0, r on R_m, and half the second difference of delta
     on interior components, with total degree 0.  The fibre part of A
@@ -178,11 +174,8 @@ def expected_twist_degrees(bt: BoundaryType) -> tuple[int, ...]:
 
 def a_standard(bt: BoundaryType) -> StandardA:
     """Build the standard divisor A, checking integrality and degrees."""
-    m, c = bt.m, bt.c
-    delta = bt.delta
     alpha = []
-    for i in range(m):
-        num = (m - i) * c - delta[i]
+    for i, num in enumerate(bt.chain_nums(bt.c)):
         if num % 2 != 0:
             raise InvariantError(
                 f"non-integral chain coefficient at i={i} for type {bt}"

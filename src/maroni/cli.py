@@ -31,7 +31,7 @@ from typing import Iterable
 
 from . import formulas, verify
 from .combinatorics import HurwitzParams, Partition
-from .errors import ApplicabilityError, DomainError, InvariantError
+from .errors import DomainError, InvariantError
 
 CSV_HEADER = "j,mu,n,m,r,c,coefficient,variant,provenance"
 
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # reader gone: devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (DomainError, ApplicabilityError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -198,6 +198,12 @@ class BoundaryType(NamedTuple):
     def delta_square_sum(self) -> int:
         return self.mu.profile.step_square_sum
 
+    def chain_nums(self, x: int) -> list[int]:
+        """(m-i)x - delta_i, i < m: twice -A at x = c, the critical twist
+        over 2(d-1) at x = a, the branch numerators X_i at x = l."""
+        m, delta = self.mu.m, self.mu.profile.delta
+        return [(m - i) * x - delta[i] for i in range(m)]
+
     def flipped(self) -> "BoundaryType":
         """The same unordered boundary type with the two sides swapped."""
         return make_boundary_type(self.params, self.l, self.mu)

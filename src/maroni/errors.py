@@ -2,17 +2,13 @@
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument outside an operation's domain, or a construction that
+    does not apply (a joint twist without a part 1): exit 2 in ``cli``."""
 
 
 class ParityError(DomainError):
     """The branch-point count j is incompatible with the ramification
     partition: j + d - n must be even for an admissible boundary type."""
-
-
-class ApplicabilityError(ValueError):
-    """A construction that requires extra structure (for instance a
-    ramification index equal to 1) was invoked where it does not apply."""
 
 
 class InvariantError(RuntimeError):

@@ -6,9 +6,9 @@ the boundary coefficient of the extended Maroni class by
     f(N) = N.A + ((d-1)/2) (N.N - N.theta),
 
 a negative-definite quadratic in the coefficients of N on R_0..R_{m-1}.
-Its critical point a_i = N_i/D, with N_i = (m-i)a - delta_i, D = 2(d-1)
-and a = d - 1 + c, is rounded in one integer pass from i = m-1 down to 0
-that carries the scaled residual E_i = alpha_i D - N_i (E_m = 0):
+Its critical point a_i = N_i/D, N = chain_nums(a) = ((m-i)a - delta_i)_i,
+D = 2(d-1), a = d - 1 + c, is rounded in one integer pass from i = m-1
+down to 0 that carries the scaled residual E_i = alpha_i D - N_i (E_m = 0):
 
     alpha_i = ceil((2(N_i + E_{i+1}) - D) / (2D)),
 
@@ -36,8 +36,8 @@ G = (d-1)N - X the joint functional
 
     f(Z, N) = (1/(2(d-1))) ((d-2) X.X + W.X + G.(G - (d-1) theta + 2A))
 
-has critical coordinates x_i = X_i/(2(d-2)), X_i = (m-i)l - delta_i (l =
-b - j on the R_0 side) and g_i = ((m-i)a - delta_i)/2.  The same pass
+has critical coordinates x_i = X_i/(2(d-2)), X = chain_nums(l) (l = b - j
+on the R_0 side) and g_i = ((m-i)a - delta_i)/2.  The same pass
 rounds (g_i + x_i)/(d-1) = N_i/D with N_i = ((m-i)a - delta_i)(d-2) + X_i,
 D = 2(d-1)(d-2); the parity shift e'_i = E_i/D (+ 1/2 when m-i is odd)
 makes xi_i = x_i + e'_i = ((d-1)X_i + E_i + [m-i odd] D/2)/D an integer.
@@ -75,7 +75,7 @@ from .chain import (
     theta_dot,
 )
 from .combinatorics import BoundaryType
-from .errors import ApplicabilityError, DomainError, InvariantError
+from .errors import DomainError, InvariantError
 # perfbench/tracer.py traces the nodal check and functional as lattice names
 from .nodal import nodal_f1, verify_trigonal_nodal_max
 from .twist import ChainQuadratic, twist_quadratic, twist_states
@@ -187,23 +187,16 @@ def f_twist(bt: BoundaryType, n: FibralDivisor) -> Fraction:
     )
 
 
-def _single_nums(bt: BoundaryType) -> tuple[list[int], int]:
-    """Numerators N_i = (m-i)a - delta_i and denominator 2(d-1) of a_i."""
-    m, a, delta = bt.m, bt.a, bt.delta
-    return [(m - i) * a - delta[i] for i in range(m)], 2 * (bt.d - 1)
-
-
 def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
-    """Round the single-twist critical point to the lattice."""
-    nums, den = _single_nums(bt)
+    """Round the single-twist critical point chain_nums(a)/(2(d-1))."""
     try:
-        return round_chain(nums, explore_ties, den=den)
+        return round_chain(bt.chain_nums(bt.a), explore_ties, den=2 * (bt.d - 1))
     except InvariantError as err:
         raise InvariantError(f"{err} at {bt}") from err
 
 
 def _parts(bt: BoundaryType, point: RoundedPoint, xs=None):
-    """A rounded point with its A and twist form (branch numerators xs)."""
+    """A rounded point with its A and twist form (xs: ``chain_nums(l)``)."""
     std = a_standard(bt)
     return point, std, twist_quadratic(bt, std.degrees, xs)
 
@@ -291,27 +284,20 @@ def _is_box_max(bt, point, std, quad, radius: int) -> bool:
 
 def _require_unit_part(bt: BoundaryType) -> None:
     if not bt.mu.has_unit_part:
-        raise ApplicabilityError(
+        raise DomainError(
             f"joint twist needs a ramification index 1, got mu={bt.mu}"
         )
 
 
-def _branch_nums(bt: BoundaryType) -> list[int]:
-    """The branch numerators X_i = (m-i)l - delta_i, i < m."""
-    m, l, delta = bt.m, bt.l, bt.delta
-    return [(m - i) * l - delta[i] for i in range(m)]
-
-
 def _joint_nums(bt: BoundaryType) -> tuple[list[int], list[int], int]:
-    """X_i = (m-i)l - delta_i, the numerators N_i and the denominator D.
+    """X = chain_nums(l), the numerators N_i and the denominator D.
 
-    N_i = ((m-i)a - delta_i)(d-2) + X_i and D = 2(d-1)(d-2), so that
+    N_i = (d-2) chain_nums(a)_i + X_i and D = 2(d-1)(d-2), so that
     N_i/D = (g_i + x_i)/(d-1) is the critical N-coordinate.
     """
     _require_unit_part(bt)
-    d, m, a, delta = bt.d, bt.m, bt.a, bt.delta
-    xs = _branch_nums(bt)
-    nums = [((m - i) * a - delta[i]) * (d - 2) + x for i, x in enumerate(xs)]
+    d, xs = bt.d, bt.chain_nums(bt.l)
+    nums = [(d - 2) * n + x for n, x in zip(bt.chain_nums(bt.a), xs)]
     return xs, nums, 2 * (d - 1) * (d - 2)
 
 
@@ -319,9 +305,9 @@ def branch_functional_divisor(bt: BoundaryType) -> FibralDivisor:
     """The fibral divisor pairing like the branch class on R_0..R_{m-1}.
 
     On the span of R_0..R_{m-1} the branch divisor (l sections through R_0
-    plus the exceptional part) acts like -sum ((m-i)l - delta_i) R_i.
+    plus the exceptional part) acts like -sum X_i R_i, X = ``chain_nums(l)``.
     """
-    return fibral(ChainModel(bt.m), [-x for x in _branch_nums(bt)] + [0])
+    return fibral(ChainModel(bt.m), [-x for x in bt.chain_nums(bt.l)] + [0])
 
 
 def joint_f_value(bt: BoundaryType, nvec, xvec) -> Fraction:
@@ -384,7 +370,7 @@ def correction_ln(bt: BoundaryType) -> CorrectionResult:
     checks it with k = (d-1)(d-2) and defect m(d-1)k, and A + G = A +
     (d-1)N - X.
     """
-    return _correction(bt, *_parts(bt, joint_round(bt), _branch_nums(bt)))
+    return _correction(bt, *_parts(bt, joint_round(bt), bt.chain_nums(bt.l)))
 
 
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
@@ -397,4 +383,4 @@ def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    return _is_box_max(bt, *_parts(bt, joint_round(bt), _branch_nums(bt)), radius)
+    return _is_box_max(bt, *_parts(bt, joint_round(bt), bt.chain_nums(bt.l)), radius)

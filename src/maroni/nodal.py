@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .combinatorics import BoundaryType
-from .errors import ApplicabilityError, DomainError, InvariantError
+from .errors import DomainError, InvariantError
 
 # For d = 3 and mu = (1,1,1) a component can have, over each side P_i of
 # the one-node fibre, a degree-2 piece C_i and a degree-1 piece T_i, with
@@ -53,7 +53,7 @@ _NODAL_GRAM = (
 
 def _require_split_nodal(bt: BoundaryType) -> None:
     if bt.d != 3 or bt.mu.parts != (1, 1, 1):
-        raise ApplicabilityError(
+        raise DomainError(
             f"split one-node fibre needs d=3, mu=(1,1,1), got d={bt.d}, mu={bt.mu}"
         )
 

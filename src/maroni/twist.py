@@ -108,8 +108,8 @@ def twist_quadratic(bt: BoundaryType, degrees, xs=None) -> ChainQuadratic:
     """2(d-1) f(Z, N) on integer states (x_i, g_i = (d-1)n_i - x_i).
 
     2(d-1) f = (d-2) X.X + W.X + G.G + (d-1) g_0 + 2 G.A, with W.R_i read
-    off the branch numerators ``xs`` (W = -sum X_i R_i) and A.R_i =
-    ``degrees[i]``.  With ``xs`` None, W = 0 and on the states (0, (d-1)n)
+    off the branch numerators ``xs`` = ``BoundaryType.chain_nums(l)`` (W =
+    -sum X_i R_i) and A.R_i = ``degrees[i]``.  With ``xs`` None, W = 0 and on the states (0, (d-1)n)
     it is 2(d-1) f(N), the single twist as the joint form at X = 0.
     """
     d, q_col = bt.d, [2 * a for a in degrees[:-1]]

@@ -14,7 +14,7 @@ import maroni
 from maroni import formulas, verify
 from maroni.cli import main
 from maroni.combinatorics import HurwitzParams
-from maroni.errors import ApplicabilityError, InvariantError
+from maroni.errors import DomainError, InvariantError
 
 
 def run_cli(*argv):
@@ -541,7 +541,7 @@ def test_verify_reports_failures_with_exit_one(monkeypatch):
          "error: internal invariant failed: "),
         # build_table skips types where the joint twist does not apply, so
         # the single twist raises here
-        ("single_round", "corr1", ApplicabilityError, 2, "error: "),
+        ("single_round", "corr1", DomainError, 2, "error: "),
     ],
 )
 def test_library_errors_map_to_exit_codes(
@@ -575,7 +575,7 @@ def test_a_raising_joint_guard_is_never_read_as_not_applicable(
     import maroni.lattice as lattice
 
     def raising(bt):
-        raise ApplicabilityError(f"synthetic guard at {bt}")
+        raise DomainError(f"synthetic guard at {bt}")
 
     monkeypatch.setattr(lattice, "_require_unit_part", raising)
     assert main(argv) == 2

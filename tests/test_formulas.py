@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import row_oracle
 from elliptic_tail import elliptic_tail_gain, elliptic_tail_special_value
 from maroni.combinatorics import (
     HurwitzParams,
@@ -9,7 +11,7 @@ from maroni.combinatorics import (
     enumerate_boundary_types,
     make_boundary_type,
 )
-from maroni.errors import ApplicabilityError, DomainError
+from maroni.errors import DomainError
 from maroni.formulas import (
     CONDITIONAL_TAIL,
     build_table,
@@ -155,7 +157,7 @@ def test_corr2_identity_and_applicability():
         if bt.mu.has_unit_part:
             assert sigma_corr2(bt) == sigma_st(bt) - correction_ln(bt).delta
         else:
-            with pytest.raises(ApplicabilityError):
+            with pytest.raises(DomainError, match="ramification index 1"):
                 sigma_corr2(bt)
 
 
@@ -192,6 +194,26 @@ def test_sigma_min_is_the_first_least_candidate():
         assert sigma_min(bt) == next(c for c in candidates if c[0] == least)
         ties += sum(value == least for value, _ in candidates) > 1
     assert ties > 0
+
+
+@st.composite
+def row_types(draw):
+    """A canonical type at d = 3..12, k = 1..3."""
+    d = draw(st.integers(min_value=3, max_value=12))
+    params = HurwitzParams(d, (d - 1) * draw(st.integers(min_value=1, max_value=3)))
+    return draw(st.sampled_from(enumerate_boundary_types(params)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_types())
+def test_integer_row_forms_match_the_displays(bt):
+    # the integer forms of the row evaluator to come (tests/row_oracle.py)
+    # against the Fraction displays, value by value and for the minimum
+    assert Fraction(*row_oracle.st_num(bt)) == sigma_st(bt)
+    assert Fraction(*row_oracle.corr1_num(bt)) == sigma_corr1(bt)
+    if bt.mu.has_unit_part:
+        assert Fraction(*row_oracle.corr2_num(bt)) == sigma_corr2(bt)
+    assert row_oracle.row_min(bt) == sigma_min(bt)
 
 
 def test_build_table_d3_g2():

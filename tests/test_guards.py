@@ -7,8 +7,10 @@
    with, so no engine path may call it.  Likewise the nodal scan calls the
    ``Fraction`` functional ``nodal_f1`` only at its 15 identity points,
    and each correction builds A once.  Whether the joint twist applies is
-   asked of the type: no engine path catches ``ApplicabilityError``, which
-   only ``cli`` turns into exit 2.
+   asked of the type: no engine path catches ``DomainError`` (nor its
+   ``ParityError``, nor a base class), which only ``cli`` turns into exit
+   2.  The chain vector (m - i) x - delta_i has one builder,
+   ``BoundaryType.chain_nums``.
 3. The ``Fraction`` references stay exact: on integer divisors and points
    they return ``Fraction``s, and every divisor coefficient is one (an
    ``int`` coefficient would turn ``theta_dot(a_div) / 2`` into a float).
@@ -138,18 +140,49 @@ def test_nodal_scan_calls_the_fraction_functional_only_to_check(monkeypatch):
                 assert len(calls) <= 15  # the 15 identity points
 
 
-def test_no_engine_path_catches_an_applicability_error():
+# DomainError, its subclass and its bases: catching any of them catches it
+DOMAIN_CATCHERS = {"DomainError", "ParityError", "ValueError", "Exception",
+                   "BaseException"}
+
+
+def test_no_engine_path_catches_a_domain_error():
     # a type the joint twist does not apply to is told by bt.mu.has_unit_part;
     # catching the error would drop a row or a check on a raising bug
     for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
         if path.name == "cli.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if isinstance(node, ast.ExceptHandler):
+                assert node.type is not None, f"{path.name}:{node.lineno} bare except"
                 caught = {getattr(n, "id", getattr(n, "attr", None))
                           for n in ast.walk(node.type)}
-                assert "ApplicabilityError" not in caught, (
-                    f"{path.name}:{node.lineno} catches ApplicabilityError")
+                assert not caught & DOMAIN_CATCHERS, (
+                    f"{path.name}:{node.lineno} catches {caught & DOMAIN_CATCHERS}")
+
+
+def _builds_chain_vector(node):
+    """Whether node is (m - i) * x - delta[i]: a product with a difference
+    factor, minus an entry of a delta vector."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    product, entry = node.left, node.right
+    return (isinstance(entry, ast.Subscript)
+            and ast.unparse(entry.value).endswith("delta")
+            and isinstance(product, ast.BinOp) and isinstance(product.op, ast.Mult)
+            and any(isinstance(f, ast.BinOp) and isinstance(f.op, ast.Sub)
+                    for f in (product.left, product.right)))
+
+
+def test_only_chain_nums_builds_the_chain_vector():
+    # A (x = c), the single critical twist (x = a) and the branch numerators
+    # (x = l) all read BoundaryType.chain_nums
+    builders = set()
+    for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    map(_builds_chain_vector, ast.walk(node))):
+                builders.add((path.name, node.name))
+    assert builders == {("combinatorics.py", "chain_nums")}
 
 
 def test_each_correction_builds_standard_a_once(monkeypatch):
@@ -232,8 +265,8 @@ def test_tie_check_builds_no_second_correction(monkeypatch):
 def test_verify_all_derives_the_joint_numerators_once_per_joint_rounding(
         monkeypatch):
     # the joint corrections and oracles take the branch numerators X_i from
-    # _branch_nums; only joint_round builds N_i (1074 _joint_nums calls for
-    # 810 roundings when they took X_i from a second _joint_nums)
+    # bt.chain_nums(bt.l); only joint_round builds N_i (1074 _joint_nums
+    # calls for 810 roundings when they took X_i from a second _joint_nums)
     calls = collections.Counter()
 
     def counted(name):

@@ -15,7 +15,7 @@ from maroni.combinatorics import (
     enumerate_partitions,
     make_boundary_type,
 )
-from maroni.errors import ApplicabilityError, DomainError, InvariantError
+from maroni.errors import DomainError, InvariantError
 import maroni.lattice as lattice
 from maroni.lattice import (
     correction_ln,
@@ -358,7 +358,7 @@ def single_quadratic(bt):
 
 
 def joint_quadratic(bt):
-    return twist_quadratic(bt, a_standard(bt).degrees, lattice._joint_nums(bt)[0])
+    return twist_quadratic(bt, a_standard(bt).degrees, bt.chain_nums(bt.l))
 
 
 def test_integer_max_methods_agree():
@@ -589,9 +589,9 @@ def test_joint_boxes_at_the_radius_cap_stay_within_budget():
 
 def test_joint_requires_unit_part():
     bt = bt_of(3, 4, 4, (3,))
-    with pytest.raises(ApplicabilityError):
+    with pytest.raises(DomainError, match="ramification index 1"):
         joint_round(bt)
-    with pytest.raises(ApplicabilityError):
+    with pytest.raises(DomainError, match="ramification index 1"):
         correction_ln(bt)
 
 
@@ -666,6 +666,20 @@ def test_branch_functional_matches_branch_pairing():
                 exceptional, component(chain, t)
             )
             assert intersect(rep, component(chain, t)) == expected
+
+
+def test_chain_nums_is_a_the_critical_twist_and_the_branch_class():
+    # the one builder of (m-i)x - delta_i against its three readings: twice
+    # -A at x = c, 2(d-1) times the Fraction critical point at x = a, and
+    # minus the branch divisor's coefficients (R_m one 0) at x = l
+    from maroni.lattice import branch_functional_divisor
+
+    for bt in small_types(max_d=6):
+        assert bt.chain_nums(bt.c) == [2 * a for a in a_standard(bt).alpha]
+        critical = [Fraction(n, 2 * (bt.d - 1)) for n in bt.chain_nums(bt.a)]
+        assert critical == oracle_critical_n(bt)
+        branch = branch_functional_divisor(bt).coeffs
+        assert (*(-x for x in bt.chain_nums(bt.l)), 0) == branch
 
 
 def test_joint_value_matches_closed_form():
@@ -778,7 +792,7 @@ def test_integer_corrections_match_fraction_expressions(bt):
     res = correction_ln(bt)
     assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
         value + fibre, fmax, joint.sum_sq, value)
-    _assert_built_from_its_parts(res, bt, lattice._joint_nums(bt)[0],
+    _assert_built_from_its_parts(res, bt, bt.chain_nums(bt.l),
                                  (bt.d - 1) * (bt.d - 2))
     assert joint_round(bt, explore_ties=True) == res.point
 
@@ -869,7 +883,7 @@ def test_correction_residual_bound_fires(monkeypatch):
 
     def far(bt, explore_ties=False):
         point = rounded(bt, explore_ties)
-        nums, den = lattice._single_nums(bt)
+        nums, den = bt.chain_nums(bt.a), 2 * (bt.d - 1)
         alpha = (point.alpha[0] + 3, *point.alpha[1:])
         scaled = tuple(a * den - n for a, n in zip(alpha, nums))
         return point._replace(alpha=alpha, scaled=scaled)
@@ -975,9 +989,9 @@ def test_nodal_form_mismatch_raises(monkeypatch, extra):
 
 def test_nodal_applicability():
     for check in (verify_trigonal_nodal_max, trigonal_nodal_rays):
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(DomainError, match="split one-node fibre"):
             check(bt_of(3, 4, 4, (3,)))
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(DomainError, match="split one-node fibre"):
             check(bt_of(4, 3, 2, (1, 1, 1, 1)))
 
 
