@@ -6,17 +6,18 @@ line-bundle model is a chain of smooth rational curves R_0, ..., R_m
 self-intersection -1 joined by m - 1 exceptional (-2)-curves, consecutive
 components meeting once.  A distinguished section S meets R_m only.
 
-Divisors supported on the chain are represented by their rational
-coefficient vectors.  For D = sum e_i R_i the pairing satisfies the
-closed form D.D = -sum_{i=1}^m (e_{i-1} - e_i)^2, the full fibre
-F = sum R_i is numerically trivial, and the relative dualizing class
-theta pairs as theta.D = -e_0 - e_m.
+A divisor supported on the chain is its coefficient vector (e_0, ..., e_m).
+For D = sum e_i R_i the pairing satisfies the closed form
+D.D = -sum_{i=1}^m (e_{i-1} - e_i)^2, the full fibre F = sum R_i is
+numerically trivial, and the relative dualizing class theta pairs as
+theta.D = -e_0 - e_m.
 
 The engine needs only the degrees D.R_i, second differences of the
 coefficients (``component_degrees``: O(m), integers for integral D); the
-matrix pairing ``intersect`` is kept as their reference.  It pairs the
-integer numerators of both sides over their common denominators through
-the one matrix, ``ChainModel.pairing``, and returns one ``Fraction``.
+matrix pairing ``intersect`` of two coefficient vectors is kept as their
+reference.  It pairs the integer numerators of both sides over their
+common denominators through the one matrix, ``ChainModel.pairing``, and
+returns one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -50,45 +51,6 @@ class ChainModel(namedtuple("ChainModel", "m")):
         return 1 if abs(i - j) == 1 else 0
 
 
-class FibralDivisor(namedtuple("FibralDivisor", "chain coeffs")):
-    """A rational coefficient vector (e_0, ..., e_m) over a ChainModel."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
-    # a divisor is not a sequence: no tuple concatenation or repetition
-    __add__ = __mul__ = __rmul__ = None
-
-    def __new__(cls, chain: ChainModel, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != chain.m + 1:
-            raise DomainError(f"expected {chain.m + 1} coefficients, got {len(coeffs)}")
-        return super().__new__(cls, chain, coeffs)
-
-    def __sub__(self, other: "FibralDivisor") -> "FibralDivisor":
-        _check_same_chain(self, other)
-        return FibralDivisor(
-            self.chain, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def scaled(self, scalar) -> "FibralDivisor":
-        s = Fraction(scalar)
-        return FibralDivisor(self.chain, tuple(s * a for a in self.coeffs))
-
-
-def fibral(chain: ChainModel, coeffs) -> FibralDivisor:
-    """Build a divisor from any iterable of ints/Fractions."""
-    return FibralDivisor(chain, tuple(Fraction(c) for c in coeffs))
-
-
-def full_fibre(chain: ChainModel) -> FibralDivisor:
-    """F = R_0 + ... + R_m, numerically trivial on the chain."""
-    return fibral(chain, [1] * (chain.m + 1))
-
-
-def _check_same_chain(d1: FibralDivisor, d2: FibralDivisor) -> None:
-    if d1.chain != d2.chain:
-        raise DomainError("divisors live on chains of different lengths")
-
-
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:
     """Integer numerators of the coefficients over their least common denominator."""
     ratios = [c.as_integer_ratio() for c in coeffs]
@@ -96,28 +58,23 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def intersect(d1: FibralDivisor, d2: FibralDivisor) -> Fraction:
-    """Bilinear symmetric pairing from the component intersection matrix.
+def intersect(e, f) -> Fraction:
+    """The pairing (sum e_i R_i).(sum f_k R_k) of two coefficient vectors.
 
-    Each side is put over its common denominator; the entries
-    ``ChainModel.pairing`` on the band |i - k| <= 1 pair the integer
-    numerators, and one ``Fraction`` is built at the end.
+    Both vectors list the coefficients on R_0..R_m.  Each side is put over
+    its common denominator; the entries ``ChainModel.pairing`` on the band
+    |i - k| <= 1 pair the integer numerators, and one ``Fraction`` is built
+    at the end.  Unequal lengths, or a vector of one entry, raise
+    ``DomainError``.
     """
-    _check_same_chain(d1, d2)
-    chain, m = d1.chain, d1.chain.m
-    (e, den_e), (f, den_f) = (_over_common_denominator(d.coeffs) for d in (d1, d2))
+    if len(e) != len(f):
+        raise DomainError(f"coefficient vectors of lengths {len(e)} and {len(f)}")
+    chain = ChainModel(len(e) - 1)
+    m = chain.m
+    (e, den_e), (f, den_f) = map(_over_common_denominator, (e, f))
     total = sum(e[i] * chain.pairing(i, k) * f[k] for i in range(m + 1)
                 for k in range(max(i - 1, 0), min(i + 1, m) + 1))
     return Fraction(total, den_e * den_f)
-
-
-def theta_dot(d: FibralDivisor) -> Fraction:
-    """Pairing of the relative dualizing class with a fibral divisor.
-
-    Adjunction on the chain gives theta . D = -e_0 - e_m; this equals the
-    pairing against -2S + sum_{i<m}(m-i) R_i by S . R_m = 1.
-    """
-    return -d.coeffs[0] - d.coeffs[-1]
 
 
 def component_degrees(e) -> tuple:
@@ -144,11 +101,6 @@ class StandardA(NamedTuple):
 
     alpha: tuple[int, ...]
     degrees: tuple[int, ...]
-
-    @property
-    def divisor(self) -> FibralDivisor:
-        """A = -sum_{i<m} alpha_i R_i as a Fraction divisor on the chain."""
-        return fibral(ChainModel(len(self.alpha)), [-a for a in self.alpha] + [0])
 
 
 def expected_twist_degrees(bt: BoundaryType) -> tuple[int, ...]:

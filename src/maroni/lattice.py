@@ -54,26 +54,17 @@ m(d-1)k for the joint one.  Each correction checks it against the closed
 form 8(d-1)k f_max: m a^2 + Sd for the single twist, (d-1)(m(l^2 +
 (d-2)a^2) + (d-1)Sd) for the joint one, Sd the sum of squared delta steps.
 The fibre term f_A (-mc/2 if c > 0, else 0) is the integer -mc scale/2
-there; only delta, fmax and value are Fractions.
+there; only the ``delta`` view is a Fraction.  The references
+``f_twist`` and ``joint_f_value`` pair coefficient vectors with ``intersect``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
-from .chain import (
-    ChainModel,
-    FibralDivisor,
-    StandardA,
-    a_standard,
-    fibral,
-    full_fibre,
-    intersect,
-    theta_dot,
-)
+from .chain import StandardA, a_standard, intersect
 from .combinatorics import BoundaryType
 from .errors import DomainError, InvariantError
 # perfbench/tracer.py traces the nodal check and functional as lattice names
@@ -109,8 +100,9 @@ class RoundedPoint(NamedTuple):
 class CorrectionResult(NamedTuple):
     """The amount ``delta`` subtracted from the standard coefficient at one type.
 
-    Integers over ``scale`` = 8(d-1)k: delta, the critical value ``fmax`` and
-    the functional's ``value`` at ``point``, with the A and twist form used.
+    Integers over ``scale`` = 8(d-1)k: delta, the critical value f_max and
+    the functional's value at ``point``, with the A and twist form used;
+    ``delta`` is the one ``Fraction`` view.
     """
 
     point: RoundedPoint
@@ -122,8 +114,6 @@ class CorrectionResult(NamedTuple):
     value_num: int
 
     delta = property(lambda self: Fraction(self.delta_num, self.scale))
-    fmax = property(lambda self: Fraction(self.fmax_num, self.scale))
-    value = property(lambda self: Fraction(self.value_num, self.scale))
 
 
 def _round_scaled(nums, den: int, check_ties: bool) -> RoundedPoint:
@@ -143,26 +133,20 @@ def _round_scaled(nums, den: int, check_ties: bool) -> RoundedPoint:
     return RoundedPoint(tuple(alpha), tuple(scaled), den)
 
 
-def round_chain(
-    targets, explore_ties: bool = False, den: int | None = None
-) -> RoundedPoint:
-    """Round a target vector to the lattice along the chain.
+def round_chain(targets, explore_ties: bool = False, *, den: int) -> RoundedPoint:
+    """Round the target vector N_i/den to the lattice along the chain.
 
-    The targets are rationals, or integer numerators over ``den``.  The
-    last coordinate is rounded with residual in [-1/2, 1/2), each earlier
-    one with residual within [-1/2, 1/2) of its successor's.  Every tie
-    choice gives the same sum (e_{i-1} - e_i)^2 (module docstring), so
-    ``explore_ties`` keeps this point and checks the other choice per tie.
+    The targets are integer numerators over ``den``.  The last coordinate
+    is rounded with residual in [-1/2, 1/2), each earlier one with residual
+    within [-1/2, 1/2) of its successor's.  Every tie choice gives the same
+    sum (e_{i-1} - e_i)^2 (module docstring), so ``explore_ties`` keeps
+    this point and checks the other choice per tie.
 
-    >>> round_chain([Fraction(1, 2)]).alpha
+    >>> round_chain([1], den=2).alpha
     (0,)
-    >>> round_chain([Fraction(3, 2), Fraction(1, 2), Fraction(0)]).sum_sq
+    >>> round_chain([3, 1, 0], den=2).sum_sq
     Fraction(1, 4)
     """
-    if den is None:
-        fracs = [Fraction(t) for t in targets]
-        den = lcm(*(f.denominator for f in fracs))
-        targets = [f.numerator * (den // f.denominator) for f in fracs]
     if not targets or den < 1:
         raise DomainError(f"need a non-empty target vector and den >= 1, got {den}")
     return _round_scaled(targets, den, explore_ties)
@@ -172,19 +156,22 @@ def round_chain(
 # single twist (line bundle N only)
 
 
-def f_twist(bt: BoundaryType, n: FibralDivisor) -> Fraction:
+def _a_coeffs(bt: BoundaryType) -> list[int]:
+    """The coefficients of A = -sum_{i<m} alpha_i R_i on R_0..R_m."""
+    return [-a for a in a_standard(bt).alpha] + [0]
+
+
+def f_twist(bt: BoundaryType, n) -> Fraction:
     """The coefficient change f(N) = N.A + ((d-1)/2)(N.N - N.theta).
 
-    Fibre multiples are normalized away first, so adding a full fibre to N
-    does not change the value.  Evaluated from the matrix pairing, as the
-    reference for ``twist_quadratic`` at X = 0.
+    N is the coefficient vector (n_0, ..., n_m).  Fibre multiples are
+    normalized away first (n_m becomes 0), so adding a full fibre to N does
+    not change the value, and theta.N = -n_0.  Evaluated from the matrix
+    pairing, as the reference for ``twist_quadratic`` at X = 0.
     """
-    n = n - full_fibre(n.chain).scaled(n.coeffs[-1])  # R_m coefficient 0
-    a_div = a_standard(bt).divisor
-    d = bt.d
-    return intersect(n, a_div) + Fraction(d - 1, 2) * (
-        intersect(n, n) - theta_dot(n)
-    )
+    n = [e - n[-1] for e in n]
+    return intersect(n, _a_coeffs(bt)) + Fraction(bt.d - 1, 2) * (
+        intersect(n, n) + n[0])
 
 
 def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
@@ -301,31 +288,21 @@ def _joint_nums(bt: BoundaryType) -> tuple[list[int], list[int], int]:
     return xs, nums, 2 * (d - 1) * (d - 2)
 
 
-def branch_functional_divisor(bt: BoundaryType) -> FibralDivisor:
-    """The fibral divisor pairing like the branch class on R_0..R_{m-1}.
-
-    On the span of R_0..R_{m-1} the branch divisor (l sections through R_0
-    plus the exceptional part) acts like -sum X_i R_i, X = ``chain_nums(l)``.
-    """
-    return fibral(ChainModel(bt.m), [-x for x in bt.chain_nums(bt.l)] + [0])
-
-
 def joint_f_value(bt: BoundaryType, nvec, xvec) -> Fraction:
-    """The joint functional from the matrix pairing: the tests' reference."""
+    """The joint functional from the matrix pairing: the tests' reference.
+
+    N and X (the pushforward of Z) are given on R_0..R_{m-1}, R_m's
+    coefficient 0, and G = (d-1)N - X, so theta.G = -g_0.  On that span the
+    branch class (l sections through R_0 plus the exceptional part) pairs
+    like W = -sum_i chain_nums(l)_i R_i.
+    """
     d = bt.d
-    chain = ChainModel(bt.m)
-    n_div = fibral(chain, list(nvec) + [0])
-    x_div = fibral(chain, list(xvec) + [0])
-    g_div = n_div.scaled(d - 1) - x_div
-    w_div = branch_functional_divisor(bt)
-    a_div = a_standard(bt).divisor
+    x = [*xvec, 0]
+    g = [(d - 1) * n - e for n, e in zip([*nvec, 0], x)]
+    w = [-e for e in bt.chain_nums(bt.l)] + [0]
     return Fraction(1, 2 * (d - 1)) * (
-        (d - 2) * intersect(x_div, x_div)
-        + intersect(w_div, x_div)
-        + intersect(g_div, g_div)
-        - (d - 1) * theta_dot(g_div)
-        + 2 * intersect(g_div, a_div)
-    )
+        (d - 2) * intersect(x, x) + intersect(w, x) + intersect(g, g)
+        + (d - 1) * g[0] + 2 * intersect(g, _a_coeffs(bt)))
 
 
 def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:

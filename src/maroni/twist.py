@@ -6,8 +6,8 @@ on states (x, g), g = (d-1)n - x, with node terms W.R_i x_i + (2 A.R_i +
 (d-1)[i=0]) g_i, the separable edges -(d-2)(x' - x)^2 - (g' - g)^2 and the
 end pinned at (0, 0).  The single twist is this form at X = 0 (W = 0,
 states (0, (d-1)n)), where 2(d-1) f(0, N) = (d-1) 2f(N).  Its evaluator
-checks the value of every correction in ``lattice``, whose ``f_twist`` and
-``joint_f_value``, built on the ``Fraction`` pairing, are its reference.
+checks the value of every correction in ``lattice``; ``f_twist`` and
+``joint_f_value`` there, pairing coefficient vectors, are its reference.
 
 Certificates.  In edge coordinates u_t = x_{t-1} - x_t, v_t = g_{t-1} - g_t
 (end pinned) the form is sum_t (P_t u_t + Q_t v_t - w0 u_t^2 - w1 v_t^2)

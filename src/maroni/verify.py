@@ -179,7 +179,8 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
                 if formulas.sigma_corr2(bt) != st - res2.delta:
                     corr2_id.fail(str(bt))
                 nonneg.count()
-                if res2.delta_num < 0:
+                pt = res2.point
+                if res2.delta_num < 0 or bt.m * pt.den**2 < 4 * pt.scaled_sum_sq:
                     nonneg.fail(f"joint twist at {bt}")
 
             flip = bt.flipped()

@@ -11,12 +11,14 @@ forms, independently of the integer numerators the library uses.
 ``oracle_fmax_n``, ``oracle_fmax_ln`` and ``ferr_ln`` are the Fraction
 forms of the critical values and of the joint rounding defect that the
 corrections were computed from before they moved to scaled integers.
+``over_common_denominator`` turns rational targets into the integer
+numerators over one denominator that ``round_chain`` takes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import NamedTuple
 
 HALF = Fraction(1, 2)
@@ -28,6 +30,13 @@ class OraclePoint(NamedTuple):
     sum_sq: Fraction
     xi: tuple[int, ...] | None = None
     eprime: tuple[Fraction, ...] | None = None
+
+
+def over_common_denominator(targets) -> tuple[list[int], int]:
+    """(N, D) with targets_i = N_i/D, D the least common denominator."""
+    fracs = [Fraction(t) for t in targets]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def _residual_sum_sq(e) -> Fraction:

@@ -14,10 +14,23 @@ with Delta the sum of squared delta steps and S_1, S_2 the integer
 ``scaled_sum_sq`` of ``single_round`` and ``joint_round``.  ``row_min`` is
 the first least candidate in the order st, corr1, corr2, compared as
 integers over T.
+
+Step-histogram lemmas.  With the delta steps s_i = delta_i - delta_{i+1}
+(i < m), their histogram cnt and cr_D(x) = (x + D/2) mod D - D/2, each
+edge residual of a rounding depends on its step alone:
+
+    S_1 = sum_s cnt(s) cr_{2(d-1)}(s - a)^2,
+    S_2 = sum_s cnt(s) cr_{2(d-1)(d-2)}((d-1)s - (d-2)a - l)^2,
+    8(d-1) delta_n = sum_s cnt(s) tau(s),
+    tau(s) = (d-1-|c|)^2 + s^2 - cr_{2(d-1)}(s - a)^2,
+
+and tau(s) + tau(-s) = 0 mod 8(d-1) for s = c mod 2, tau(0) = 0 mod
+8(d-1) for even c; ``tau_pairs`` lists these finite cases per degree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from maroni.lattice import joint_round, single_round
@@ -69,3 +82,51 @@ def row_min(bt) -> tuple[Fraction, str]:
         if best is None or over_t < best[0]:
             best = (over_t, tag)
     return Fraction(best[0], t), best[1]
+
+
+def step_histogram(bt) -> Counter:
+    """cnt(s): how many of the m steps delta_i - delta_{i+1} equal s."""
+    delta = bt.delta
+    return Counter(delta[i] - delta[i + 1] for i in range(bt.m))
+
+
+def centred(x: int, den: int) -> int:
+    """cr_D(x) = (x + D/2) mod D - D/2, the residue of x in [-D/2, D/2)."""
+    return (x + den // 2) % den - den // 2
+
+
+def hist_s1(bt) -> int:
+    """S_1, the single rounding's ``scaled_sum_sq``, from the histogram."""
+    den = 2 * (bt.d - 1)
+    return sum(n * centred(s - bt.a, den) ** 2
+               for s, n in step_histogram(bt).items())
+
+
+def hist_s2(bt) -> int:
+    """S_2, the joint rounding's ``scaled_sum_sq``, from the histogram."""
+    d, a, l = bt.d, bt.a, bt.l
+    den = 2 * (d - 1) * (d - 2)
+    return sum(n * centred((d - 1) * s - (d - 2) * a - l, den) ** 2
+               for s, n in step_histogram(bt).items())
+
+
+def tau(d: int, c: int, s: int) -> int:
+    """The edge term of 8(d-1) delta_n at one step s."""
+    return ((d - 1 - abs(c)) ** 2 + s * s
+            - centred(s - (d - 1 + c), 2 * (d - 1)) ** 2)
+
+
+def hist_delta_n(bt) -> int:
+    """8(d-1) delta_n as a sum of edge terms."""
+    return sum(n * tau(bt.d, bt.c, s) for s, n in step_histogram(bt).items())
+
+
+def tau_pairs(d: int):
+    """(c, s, value) per finite case at degree d: c = d - n - 2r over
+    1 <= n <= d, 0 <= r <= d - 2, and for s = c mod 2 over one period
+    4(d-1) the value tau(s) + tau(-s), plus tau(0) when c is even."""
+    for c in sorted({d - n - 2 * r for n in range(1, d + 1) for r in range(d - 1)}):
+        for s in range(c % 2, 4 * (d - 1), 2):
+            yield c, s, tau(d, c, s) + tau(d, c, -s)
+        if c % 2 == 0:
+            yield c, 0, tau(d, c, 0)

@@ -17,7 +17,7 @@ from maroni.combinatorics import (
     gcd_profile,
     make_boundary_type,
 )
-from maroni.chain import ChainModel, a_standard, fibral, intersect
+from maroni.chain import a_standard, intersect
 from maroni.formulas import (
     dp_trigonal_check,
     lambda_coeff,
@@ -165,8 +165,7 @@ def test_criterion_6_structural_invariants():
     for d in range(1, 13):
         for mu in enumerate_partitions(d):
             prof = gcd_profile(mu)
-            w = fibral(ChainModel(mu.m), prof.delta)
-            if intersect(w, w) != -prof.step_square_sum:
+            if intersect(prof.delta, prof.delta) != -prof.step_square_sum:
                 failures.append(f"branch square: mu={mu}")
     for d in range(3, 7):
         for k in (1, 2, 3):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,11 @@ from hypothesis import example, given, strategies as st
 from chain_divisors import (
     add,
     component,
+    fibral,
+    full_fibre,
     shift_and_fibre_part,
+    standard_divisor,
+    theta_dot,
     theta_representative,
     we_divisor,
     zero_divisor,
@@ -18,10 +23,7 @@ from maroni.chain import (
     a_standard,
     component_degrees,
     expected_twist_degrees,
-    fibral,
-    full_fibre,
     intersect,
-    theta_dot,
 )
 from maroni.combinatorics import (
     HurwitzParams,
@@ -50,7 +52,7 @@ def divisors(draw, max_m=8):
 
 def test_pairing_matrix_entries():
     chain = ChainModel(3)
-    r = [component(chain, i) for i in range(4)]
+    r = [component(chain, i).coeffs for i in range(4)]
     assert intersect(r[0], r[0]) == -1
     assert intersect(r[3], r[3]) == -1
     assert intersect(r[1], r[1]) == -2
@@ -63,14 +65,15 @@ def test_bilinear_pairing_extends_matrix_rule():
         chain = ChainModel(m)
         for i in range(m + 1):
             for j in range(m + 1):
-                assert intersect(component(chain, i), component(chain, j)) == (
+                assert intersect(component(chain, i).coeffs,
+                                 component(chain, j).coeffs) == (
                     chain.pairing(i, j)
                 )
 
 
 @given(divisors())
 def test_full_fibre_is_numerically_trivial(d):
-    assert intersect(full_fibre(d.chain), d) == 0
+    assert intersect(full_fibre(d.chain).coeffs, d.coeffs) == 0
 
 
 @st.composite
@@ -84,30 +87,52 @@ def divisor_pairs(draw, max_m=8):
 
 @given(divisor_pairs())
 def test_pairing_is_symmetric_and_bilinear(pair):
-    d1, d2 = pair
-    assert intersect(d1, d2) == intersect(d2, d1)
-    assert intersect(add(d1, d2), d1) == intersect(d1, d1) + intersect(d2, d1)
+    e, f = pair[0].coeffs, pair[1].coeffs
+    assert intersect(e, f) == intersect(f, e)
+    assert intersect(add(*pair).coeffs, e) == intersect(e, e) + intersect(f, e)
 
 
 @given(divisors())
 def test_square_closed_form(d):
     e = d.coeffs
     closed = -sum((a - b) ** 2 for a, b in zip(e, e[1:]))
-    assert intersect(d, d) == closed
+    assert intersect(e, e) == closed
 
 
 @example(fibral(ChainModel(1), [Fraction(1, 3), 2]))  # m = 1: no interior row
 @given(divisors())
 def test_component_degrees_match_matrix_pairing(d):
-    expected = [intersect(d, component(d.chain, i)) for i in range(d.chain.m + 1)]
+    expected = [intersect(d.coeffs, component(d.chain, i).coeffs)
+                for i in range(d.chain.m + 1)]
     assert list(component_degrees(d.coeffs)) == expected
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(DomainError):
-        intersect(zero_divisor(ChainModel(2)), zero_divisor(ChainModel(3)))
+        intersect(zero_divisor(ChainModel(2)).coeffs, zero_divisor(ChainModel(3)).coeffs)
     with pytest.raises(DomainError):
         fibral(ChainModel(2), [1, 2])
+    with pytest.raises(DomainError):
+        zero_divisor(ChainModel(2)) - zero_divisor(ChainModel(3))
+
+
+@pytest.mark.parametrize("e, f, message", [
+    ([1, 2, 3], [1, 2], "lengths 3 and 2"),
+    ([], [1], "lengths 0 and 1"),
+    ([Fraction(1, 2)], [3], "must be >= 1, got 0"),  # one entry: no chain
+    ([], [], "must be >= 1, got -1"),
+])
+def test_intersect_rejects_vectors_that_are_no_chain(e, f, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        intersect(e, f)
+
+
+def test_intersect_pairs_ints_and_fractions_exactly():
+    # R_0 + R_1 on m = 1 is the fibre: (1, 1).(1, 1) = -1 + 2 - 1 = 0
+    assert intersect([1, 1], [1, 1]) == 0
+    assert intersect((Fraction(1, 2), 0), [0, Fraction(2, 3)]) == Fraction(1, 3)
+    value = intersect([2, -1, 0], [1, 1, 4])  # the matrix times f is (0, 3, -3)
+    assert type(value) is Fraction and value == -3
 
 
 def test_theta_on_fibre():
@@ -127,7 +152,7 @@ def test_theta_adjunction_matches_representative():
                     for _ in range(m + 1)
                 ],
             )
-            via_rep = intersect(rep, d) - 2 * d.coeffs[m]
+            via_rep = intersect(rep.coeffs, d.coeffs) - 2 * d.coeffs[m]
             assert theta_dot(d) == via_rep
 
 
@@ -135,7 +160,7 @@ def test_theta_against_standard_twist_divisor():
     for d, g in [(3, 2), (3, 4), (4, 3), (5, 4), (6, 5)]:
         for bt in enumerate_boundary_types(HurwitzParams(d, g)):
             std = a_standard(bt)
-            assert theta_dot(std.divisor) == Fraction(bt.m * bt.c, 2)
+            assert theta_dot(standard_divisor(std)) == Fraction(bt.m * bt.c, 2)
 
 
 def test_shift_examples():
@@ -171,15 +196,15 @@ def test_shift_properties(d):
 def test_standard_twist_divisor_examples():
     bt = make_boundary_type(HurwitzParams(3, 4), 4, Partition((3,)))
     assert bt.c == 0
-    assert a_standard(bt).divisor.coeffs == (0, 1, 1, 0)
+    assert standard_divisor(a_standard(bt)).coeffs == (0, 1, 1, 0)
 
     bt = make_boundary_type(HurwitzParams(4, 3), 7, Partition((4,)))
     assert bt.c == -1
-    assert a_standard(bt).divisor.coeffs == (2, 3, 2, 2, 0)
+    assert standard_divisor(a_standard(bt)).coeffs == (2, 3, 2, 2, 0)
 
     bt = make_boundary_type(HurwitzParams(3, 2), 2, Partition((1, 1, 1)))
     assert bt.c == -2
-    assert a_standard(bt).divisor.coeffs == (1, 0)
+    assert standard_divisor(a_standard(bt)).coeffs == (1, 0)
 
 
 def test_standard_twist_degrees_everywhere():
@@ -192,7 +217,7 @@ def test_standard_twist_degrees_everywhere():
             assert sum(degrees) == 0
             assert degrees == expected_twist_degrees(bt)
             # integral chain coefficients
-            assert all(c.denominator == 1 for c in std.divisor.coeffs)
+            assert all(c.denominator == 1 for c in standard_divisor(std).coeffs)
 
 
 def test_delta_twist_degrees_match_the_gcd_table():
@@ -231,7 +256,7 @@ def test_we_divisor_examples():
     bt = make_boundary_type(HurwitzParams(3, 2), 2, Partition((3,)))
     w, wsq = we_divisor(bt)
     assert w.coeffs == (0, 2, 2, 0) and wsq == -8
-    assert intersect(w, w) == -8
+    assert intersect(w.coeffs, w.coeffs) == -8
 
     bt = make_boundary_type(HurwitzParams(4, 3), 5, Partition((4,)))
     w, wsq = we_divisor(bt)
@@ -242,8 +267,7 @@ def test_we_square_closed_form_up_to_d12():
     for d in range(1, 13):
         for mu in enumerate_partitions(d):
             prof = gcd_profile(mu)
-            w = fibral(ChainModel(mu.m), prof.delta)
-            assert intersect(w, w) == -prof.step_square_sum
+            assert intersect(prof.delta, prof.delta) == -prof.step_square_sum
 
 
 def test_normal_surface_basic_numbers():

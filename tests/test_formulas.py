@@ -26,7 +26,7 @@ from maroni.formulas import (
     sigma_min,
     sigma_st,
 )
-from maroni.lattice import correction_ln, correction_n
+from maroni.lattice import correction_ln, correction_n, joint_round, single_round
 
 
 def bt_of(d, g, j, parts):
@@ -63,19 +63,24 @@ def test_sigma_st_assembles_from_chain_pieces():
     """
     from fractions import Fraction as F
 
-    from chain_divisors import shift_and_fibre_part, we_divisor
-    from maroni.chain import a_standard, intersect, theta_dot
+    from chain_divisors import (
+        shift_and_fibre_part,
+        standard_divisor,
+        theta_dot,
+        we_divisor,
+    )
+    from maroni.chain import a_standard, intersect
 
     for d, g in [(3, 2), (3, 6), (4, 3), (4, 9), (5, 4), (6, 10)]:
         for bt in enumerate_boundary_types(HurwitzParams(d, g)):
-            a_div = a_standard(bt).divisor
+            a_div = standard_divisor(a_standard(bt))
             _, fibre_part = shift_and_fibre_part(a_div)
             f_a = fibre_part.coeffs[0]  # multiplicity of the full fibre
             _, we_sq = we_divisor(bt)
             psi = psi_coeff(bt)
             assembled = (
                 theta_dot(a_div) / 2
-                - intersect(a_div, a_div) / (2 * (d - 1))
+                - intersect(a_div.coeffs, a_div.coeffs) / (2 * (d - 1))
                 + f_a
                 - lambda_coeff(bt)
                 + psi / 4
@@ -214,6 +219,39 @@ def test_integer_row_forms_match_the_displays(bt):
     if bt.mu.has_unit_part:
         assert Fraction(*row_oracle.corr2_num(bt)) == sigma_corr2(bt)
     assert row_oracle.row_min(bt) == sigma_min(bt)
+
+
+def test_step_histogram_gives_the_residuals_and_the_single_delta():
+    # each edge residual of both roundings, and each edge term of
+    # 8(d-1) delta_n, depends on that edge's delta step alone; the joint
+    # twist in both orientations
+    types = joint = 0
+    for d in range(3, 11):
+        for k in (1, 2, 3):
+            for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+                types += 1
+                assert row_oracle.hist_s1(bt) == single_round(bt).scaled_sum_sq, bt
+                assert row_oracle.hist_delta_n(bt) == (
+                    8 * (d - 1) * correction_n(bt).delta), bt
+                if not bt.mu.has_unit_part:
+                    continue
+                for oriented in (bt, bt.flipped()):
+                    joint += 1
+                    assert row_oracle.hist_s2(oriented) == (
+                        joint_round(oriented).scaled_sum_sq), oriented
+    assert (types, joint) == (4158, 5902)
+
+
+def test_edge_terms_pair_to_multiples_of_eight_d_minus_one():
+    # tau(s) + tau(-s) for s = c mod 2, and tau(0) for even c, over one
+    # period of s at every reachable c: with the mirrored steps of delta
+    # this makes delta_n an integer for every partition and genus
+    cases = 0
+    for d in range(3, 31):
+        for c, s, value in row_oracle.tau_pairs(d):
+            cases += 1
+            assert value % (8 * (d - 1)) == 0, (d, c, s, value)
+    assert cases == 51_100
 
 
 def test_build_table_d3_g2():

@@ -10,10 +10,13 @@
    asked of the type: no engine path catches ``DomainError`` (nor its
    ``ParityError``, nor a base class), which only ``cli`` turns into exit
    2.  The chain vector (m - i) x - delta_i has one builder,
-   ``BoundaryType.chain_nums``.
-3. The ``Fraction`` references stay exact: on integer divisors and points
-   they return ``Fraction``s, and every divisor coefficient is one (an
-   ``int`` coefficient would turn ``theta_dot(a_div) / 2`` into a float).
+   ``BoundaryType.chain_nums``.  ``chain`` and ``lattice`` build a
+   ``Fraction`` only in the references, the two ``Fraction`` views and one
+   error message, so no ``Fraction`` divisor layer returns to the engine.
+3. The ``Fraction`` references stay exact: on integer coefficient vectors
+   and points they return ``Fraction``s, and every coefficient of the
+   tests' divisor class is one (an ``int`` coefficient would turn
+   ``theta_dot(a_div) / 2`` into a float).
 4. ``verify`` builds each object once: with the tie search on, the
    identity suite still builds one correction per twist and type, and
    checks the tie search on the rounded points alone; the lattice suite
@@ -55,7 +58,14 @@ from pathlib import Path
 
 import pytest
 
-from chain_divisors import add, component
+from chain_divisors import (
+    add,
+    component,
+    fibral,
+    full_fibre,
+    standard_divisor,
+    theta_dot,
+)
 import maroni.chain as chain
 import maroni.combinatorics as combinatorics
 import maroni.lattice as lattice
@@ -185,6 +195,57 @@ def test_only_chain_nums_builds_the_chain_vector():
     assert builders == {("combinatorics.py", "chain_nums")}
 
 
+# where chain.py and lattice.py may build a Fraction: the matrix-pairing
+# references, the sum_sq and delta views, and _correction's error message
+FRACTION_BUILDERS = {
+    ("chain.py", "intersect"), ("lattice.py", "f_twist"),
+    ("lattice.py", "joint_f_value"), ("lattice.py", "RoundedPoint.sum_sq"),
+    ("lattice.py", "CorrectionResult.delta"), ("lattice.py", "_correction: raise"),
+}
+
+
+def _fraction_sites(tree):
+    """(owner, node) per load of Fraction (a name or an attribute) outside
+    an annotation; the owner is the dotted path of functions, classes and
+    class attributes, with ": raise" added inside a raise statement."""
+    sites = []
+
+    def visit(node, owner, in_raise, in_class_body):
+        scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        name = node.name if isinstance(node, scopes) else None
+        if in_class_body and isinstance(node, ast.Assign):
+            name = getattr(node.targets[0], "id", None)
+        if name:
+            owner = f"{owner}.{name}" if owner else name
+        in_raise = in_raise or isinstance(node, ast.Raise)
+        if "Fraction" in (getattr(node, "id", None), getattr(node, "attr", None)) \
+                and isinstance(node.ctx, ast.Load):
+            sites.append((owner + (": raise" if in_raise else ""), node))
+        for field, child in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            body = isinstance(node, ast.ClassDef) and field == "body"
+            for sub in child if isinstance(child, list) else [child]:
+                if isinstance(sub, ast.AST):
+                    visit(sub, owner, in_raise, body)
+
+    visit(tree, "", False, False)
+    return sites
+
+
+def test_chain_and_lattice_build_a_fraction_only_in_the_references():
+    found = set()
+    for name in ("chain.py", "lattice.py"):
+        tree = ast.parse((ROOT / "src" / "maroni" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):  # no alias hides a Fraction
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                assert all(a.asname is None for a in node.names), name
+        for owner, node in _fraction_sites(tree):
+            assert owner, f"{name}:{node.lineno} uses Fraction at module level"
+            found.add((name, owner))
+    assert found == FRACTION_BUILDERS
+
+
 def test_each_correction_builds_standard_a_once(monkeypatch):
     calls = []
     a_standard = lattice.a_standard
@@ -218,14 +279,16 @@ def test_reference_pairings_stay_exact_on_integers():
     for bt in _small_types():
         model = chain.ChainModel(bt.m)
         nvec, xvec = list(range(1 - bt.m, 1)), list(range(bt.m))
-        n_div = chain.fibral(model, [*nvec, 0])
-        a_div = chain.a_standard(bt).divisor
+        std = chain.a_standard(bt)
+        n_int, a_int = [*nvec, 0], [-a for a in std.alpha] + [0]
+        n_div, a_div = fibral(model, n_int), standard_divisor(std)
         divisors = [n_div, a_div, add(n_div, a_div), n_div - a_div,
-                    n_div.scaled(-1), n_div.scaled(2), chain.full_fibre(model),
+                    n_div.scaled(-1), n_div.scaled(2), full_fibre(model),
                     component(model, 0)]
         assert all(type(c) is Fraction for div in divisors for c in div.coeffs)
-        values = [chain.intersect(n_div, a_div), chain.intersect(a_div, a_div),
-                  chain.theta_dot(a_div), lattice.f_twist(bt, n_div)]
+        values = [chain.intersect(n_int, a_int), chain.intersect(a_int, a_int),
+                  chain.intersect(n_div.coeffs, a_div.coeffs), theta_dot(a_div),
+                  lattice.f_twist(bt, n_int)]
         if bt.mu.has_unit_part:
             values.append(lattice.joint_f_value(bt, nvec, xvec))
         if bt.d == 3 and bt.mu.parts == (1, 1, 1):

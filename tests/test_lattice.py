@@ -6,8 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chain_divisors import add, component, shift_and_fibre_part, theta_representative
-from maroni.chain import ChainModel, a_standard, fibral, full_fibre
+from chain_divisors import (
+    add,
+    branch_functional_divisor,
+    component,
+    fibral,
+    full_fibre,
+    shift_and_fibre_part,
+    standard_divisor,
+    theta_representative,
+)
+from maroni.chain import ChainModel, a_standard, intersect
 from maroni.combinatorics import (
     HurwitzParams,
     Partition,
@@ -40,9 +49,21 @@ from rounding_oracle import (
     oracle_joint_critical,
     oracle_joint_round,
     oracle_round,
+    over_common_denominator,
 )
 
 HALF = Fraction(1, 2)
+
+
+def round_fractions(targets, explore_ties=False):
+    """``round_chain`` on rational targets, over their common denominator."""
+    nums, den = over_common_denominator(targets)
+    return round_chain(nums, explore_ties, den=den)
+
+
+def fmax_and_value(res):
+    """f_max and the functional's value of a correction, as Fractions."""
+    return Fraction(res.fmax_num, res.scale), Fraction(res.value_num, res.scale)
 
 
 def residuals(point):
@@ -69,21 +90,21 @@ def small_types(max_d=5, gs=None):
 def test_f_vanishes_at_zero():
     for bt in small_types():
         chain = ChainModel(bt.m)
-        assert f_twist(bt, fibral(chain, [0] * (bt.m + 1))) == 0
+        assert f_twist(bt, fibral(chain, [0] * (bt.m + 1)).coeffs) == 0
 
 
 def test_f_at_dualizing_representative():
     # the representative is an integral point with value mc/2
     for bt in small_types():
         rep = theta_representative(ChainModel(bt.m))
-        assert f_twist(bt, rep) == Fraction(bt.m * bt.c, 2)
+        assert f_twist(bt, rep.coeffs) == Fraction(bt.m * bt.c, 2)
 
 
 def test_f_at_single_component():
     # mu=(3), c=0: R_0 is one of the tie branches of the rounded maximum
     bt = bt_of(3, 4, 4, (3,))
     chain = ChainModel(3)
-    assert f_twist(bt, component(chain, 0)) == 1
+    assert f_twist(bt, component(chain, 0).coeffs) == 1
 
 
 @settings(max_examples=60)
@@ -101,7 +122,7 @@ def test_f_invariant_under_fibre_shift(seed, q):
         [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(bt.m + 1)],
     )
     shifted = add(n, full_fibre(chain).scaled(q))
-    assert f_twist(bt, n) == f_twist(bt, shifted)
+    assert f_twist(bt, n.coeffs) == f_twist(bt, shifted.coeffs)
 
 
 def test_critical_point_examples():
@@ -129,7 +150,7 @@ def test_fmax_equals_f_at_critical_point():
     for bt in small_types():
         crit = oracle_critical_n(bt)
         n = fibral(ChainModel(bt.m), crit + [0])
-        assert f_twist(bt, n) == oracle_fmax_n(bt)
+        assert f_twist(bt, n.coeffs) == oracle_fmax_n(bt)
 
 
 def test_fmax_bounds_f_near_critical_point():
@@ -146,7 +167,7 @@ def test_fmax_bounds_f_near_critical_point():
         fmax = oracle_fmax_n(bt)
         for h in itertools.product(range(-3, 4), repeat=bt.m):
             coords = [c + dh for c, dh in zip(centers, h)]
-            assert f_twist(bt, fibral(chain, coords + [0])) <= fmax
+            assert f_twist(bt, fibral(chain, coords + [0]).coeffs) <= fmax
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +175,16 @@ def test_fmax_bounds_f_near_critical_point():
 
 
 def test_round_chain_integer_targets():
-    pt = round_chain([3, -2, 0, 7])
+    pt = round_chain([3, -2, 0, 7], den=1)
     assert pt.alpha == (3, -2, 0, 7)
     assert all(e == 0 for e in residuals(pt))
     assert pt.sum_sq == 0
 
 
 def test_round_chain_known_cases():
-    pt = round_chain([Fraction(3, 2), HALF, Fraction(0)])
+    pt = round_fractions([Fraction(3, 2), HALF, Fraction(0)])
     assert pt.sum_sq == Fraction(1, 4)
-    pt = round_chain([Fraction(8, 3), Fraction(3, 2), Fraction(1), Fraction(1, 6)])
+    pt = round_fractions([Fraction(8, 3), Fraction(3, 2), Fraction(1), Fraction(1, 6)])
     assert pt.sum_sq == Fraction(1, 3)
 
 
@@ -172,7 +193,7 @@ def test_round_chain_constraints_hold():
     for _ in range(300):
         m = rng.randint(1, 8)
         targets = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(m)]
-        pt = round_chain(targets)
+        pt = round_fractions(targets)
         assert all(a - t == e for a, t, e in zip(pt.alpha, targets, residuals(pt)))
         chain = list(residuals(pt)) + [Fraction(0)]
         assert -HALF <= chain[m - 1] < HALF
@@ -184,16 +205,18 @@ def test_round_chain_tie_exploration_agrees():
     for _ in range(200):
         m = rng.randint(1, 7)
         targets = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 2, 4])) for _ in range(m)]
-        default = round_chain(targets)
-        explored = round_chain(targets, explore_ties=True)
+        default = round_fractions(targets)
+        explored = round_fractions(targets, explore_ties=True)
         assert default.sum_sq == explored.sum_sq
 
 
 def test_round_chain_rejects_empty():
     with pytest.raises(DomainError):
-        round_chain([])
+        round_chain([], den=1)
     with pytest.raises(DomainError):
         round_chain([1, 2], den=0)
+    with pytest.raises(TypeError):  # the denominator is never inferred
+        round_chain([1, 2])
 
 
 # differential tests of the integer pass against the Fraction search
@@ -265,7 +288,7 @@ def test_round_chain_matches_oracle_with_ties(pairs):
     targets = [Fraction(p, q) for p, q in pairs]
     for ties in (False, True):
         want = _fields(oracle_round(targets, ties))
-        assert _fields(round_chain(targets, ties)) == want
+        assert _fields(round_fractions(targets, ties)) == want
         nums = [int(t * 4) for t in targets]
         assert _fields(round_chain(nums, ties, den=4)) == want
 
@@ -282,9 +305,8 @@ def test_correction_table_anchors():
 
 def test_correction_components():
     res = correction_n(bt_of(4, 3, 5, (4,)))
-    assert res.fmax == Fraction(7, 2)
+    assert fmax_and_value(res) == (Fraction(7, 2), 3)  # delta = 3 - mc/2 = 3 - 2
     assert res.point.sum_sq == Fraction(1, 3)
-    assert res.value == 3  # delta = 3 - mc/2 = 3 - 2
 
 
 def test_correction_depends_on_residue_only():
@@ -368,7 +390,7 @@ def test_integer_max_methods_agree():
     for bt in small_types(max_d=5):
         if bt.m > 4:
             continue
-        alpha = round_chain(oracle_critical_n(bt)).alpha
+        alpha = round_fractions(oracle_critical_n(bt)).alpha
         quad = single_quadratic(bt)
         best = quad.value(twist_states(bt.d, alpha))
         for radius in range(3):
@@ -531,12 +553,10 @@ def test_single_quadratic_matches_pairing_functional():
     rng = random.Random(5)
     for bt in small_types():
         quad = single_quadratic(bt)
-        chain = ChainModel(bt.m)
         for _ in range(6):
             alpha = [rng.randint(-8, 8) for _ in range(bt.m)]
-            n_div = fibral(chain, [*alpha, 0])
             assert quad.value(twist_states(bt.d, alpha)) == (
-                2 * (bt.d - 1) * f_twist(bt, n_div))
+                2 * (bt.d - 1) * f_twist(bt, [*alpha, 0]))
 
 
 def test_single_form_is_the_joint_form_at_zero():
@@ -651,29 +671,22 @@ def test_joint_round_parity_rule():
 def test_branch_functional_matches_branch_pairing():
     # the representative pairs on R_0..R_{m-1} like l sections through R_0
     # plus the exceptional part sum delta_i R_i
-    from maroni.lattice import branch_functional_divisor
-
     for bt in small_types(max_d=6):
         if not bt.mu.has_unit_part:
             continue
         chain = ChainModel(bt.m)
         rep = branch_functional_divisor(bt)
         exceptional = fibral(chain, bt.delta)
-        from maroni.chain import intersect
-
         for t in range(bt.m):
-            expected = (bt.l if t == 0 else 0) + intersect(
-                exceptional, component(chain, t)
-            )
-            assert intersect(rep, component(chain, t)) == expected
+            r_t = component(chain, t).coeffs
+            expected = (bt.l if t == 0 else 0) + intersect(exceptional.coeffs, r_t)
+            assert intersect(rep.coeffs, r_t) == expected
 
 
 def test_chain_nums_is_a_the_critical_twist_and_the_branch_class():
     # the one builder of (m-i)x - delta_i against its three readings: twice
     # -A at x = c, 2(d-1) times the Fraction critical point at x = a, and
     # minus the branch divisor's coefficients (R_m one 0) at x = l
-    from maroni.lattice import branch_functional_divisor
-
     for bt in small_types(max_d=6):
         assert bt.chain_nums(bt.c) == [2 * a for a in a_standard(bt).alpha]
         critical = [Fraction(n, 2 * (bt.d - 1)) for n in bt.chain_nums(bt.a)]
@@ -690,7 +703,8 @@ def test_joint_value_matches_closed_form():
         nvec = [Fraction(gi + xi, bt.d - 1) for gi, xi in zip(g, x)]
         assert joint_f_value(bt, nvec, x) == oracle_fmax_ln(bt)
         res = correction_ln(bt)
-        assert res.value == oracle_fmax_ln(bt) + ferr_ln(bt, res.point.sum_sq)
+        assert fmax_and_value(res)[1] == (
+            oracle_fmax_ln(bt) + ferr_ln(bt, res.point.sum_sq))
 
 
 def test_joint_correction_tail_values():
@@ -754,13 +768,13 @@ def test_joint_quadratic_matches_pairing_functional():
 
 def _assert_built_from_its_parts(res, bt, xs, k):
     """A result keeps integers over 8(d-1)k, the A and twist form it was
-    built from, and Fraction views; f = (form at the point)/(2(d-1))."""
+    built from, and a Fraction delta; f = (form at the point)/(2(d-1))."""
     std = a_standard(bt)
     quad = twist_quadratic(bt, std.degrees, xs)
     assert (res.std, res.quad, res.scale) == (std, quad, 8 * (bt.d - 1) * k)
     states = twist_states(bt.d, res.point.alpha, res.point.xi)
-    assert res.value == Fraction(quad.value(states), 2 * (bt.d - 1))
-    assert all(type(view) is Fraction for view in (res.delta, res.fmax, res.value))
+    assert fmax_and_value(res)[1] == Fraction(quad.value(states), 2 * (bt.d - 1))
+    assert type(res.delta) is Fraction
 
 
 @settings(max_examples=120, deadline=None)
@@ -770,13 +784,13 @@ def test_integer_corrections_match_fraction_expressions(bt):
     # replaced, with sum_sq from the Fraction rounding oracle and the fibre
     # part of A from its shift normal form; the tie search returns the point
     # each correction is built on
-    fibre = shift_and_fibre_part(a_standard(bt).divisor)[1].coeffs[0]
+    fibre = shift_and_fibre_part(standard_divisor(a_standard(bt)))[1].coeffs[0]
     fmax = oracle_fmax_n(bt)
     sum_sq = oracle_round(oracle_critical_n(bt)).sum_sq
     value = fmax - Fraction(bt.d - 1, 2) * sum_sq
     res = correction_n(bt)
-    assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
-        value + fibre, fmax, sum_sq, value)
+    assert (res.delta, *fmax_and_value(res), res.point.sum_sq) == (
+        value + fibre, fmax, value, sum_sq)
     _assert_built_from_its_parts(res, bt, None, 1)
     assert single_round(bt, explore_ties=True) == res.point
     if not bt.mu.has_unit_part:
@@ -790,8 +804,8 @@ def test_integer_corrections_match_fraction_expressions(bt):
     fmax = oracle_fmax_ln(bt)
     value = fmax + ferr_ln(bt, joint.sum_sq)
     res = correction_ln(bt)
-    assert (res.delta, res.fmax, res.point.sum_sq, res.value) == (
-        value + fibre, fmax, joint.sum_sq, value)
+    assert (res.delta, *fmax_and_value(res), res.point.sum_sq) == (
+        value + fibre, fmax, value, joint.sum_sq)
     _assert_built_from_its_parts(res, bt, bt.chain_nums(bt.l),
                                  (bt.d - 1) * (bt.d - 2))
     assert joint_round(bt, explore_ties=True) == res.point
@@ -896,6 +910,30 @@ def test_correction_residual_bound_fires(monkeypatch):
         with pytest.raises(InvariantError,
                            match=re.escape(f"residual bound violated at {bt}") + "$"):
             correction_n(bt)
+
+
+def test_identity_suite_checks_the_joint_residual_bound(monkeypatch):
+    # a joint result whose residual S breaks m den^2 >= 4 S, with its delta
+    # kept (so the corr2 identity still holds), fails the bound line alone
+    from maroni.verify import run_identity_suite
+
+    built = lattice.correction_ln
+
+    def far(bt):
+        res = built(bt)
+        scaled = (res.point.den * bt.m,) * bt.m  # S = (den m)^2 > m den^2 / 4
+        return res._replace(point=res.point._replace(scaled=scaled))
+
+    monkeypatch.setattr(lattice, "correction_ln", far)
+    results = run_identity_suite(max_d=3, max_g=4, explore_ties=False)
+    failed = [res for res in results if not res.ok]
+    assert [res.name for res in failed] == [
+        "correction deltas >= 0 and m/4 - sum_sq >= 0"]
+    joint = [bt for g in (2, 4) for bt in enumerate_boundary_types(HurwitzParams(3, g))
+             if bt.mu.has_unit_part]
+    assert failed[0].failures == [f"joint twist at {bt}" for bt in joint]
+    assert failed[0].checked == len(joint) + sum(
+        len(enumerate_boundary_types(HurwitzParams(3, g))) for g in (2, 4))
 
 
 def test_nodal_ray_forms():

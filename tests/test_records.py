@@ -4,16 +4,19 @@ Every record is a ``typing.NamedTuple`` or, where its constructor checks
 its input, a ``collections.namedtuple`` subclass whose ``__new__`` runs the
 checks; ``verify.CheckResult`` is the one mutable record.  These tests pin
 the semantics every record keeps: no field can be assigned, ``_replace``
-builds an equal record of the same type (through the checks), and a
-divisor is not a sequence that ``+`` or ``*`` would concatenate or repeat.
+builds an equal record of the same type (through the checks).  The
+tests' own ``FibralDivisor`` (``tests/chain_divisors.py``) keeps the same
+constructor checks and is not a sequence that ``+`` or ``*`` would
+concatenate or repeat.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from chain_divisors import FibralDivisor, fibral
 from maroni import formulas, lattice
-from maroni.chain import ChainModel, FibralDivisor, a_standard, fibral
+from maroni.chain import ChainModel, a_standard
 from maroni.combinatorics import HurwitzParams, Partition, make_boundary_type
 from maroni.errors import DomainError
 from maroni.verify import CheckResult
@@ -26,8 +29,8 @@ def every_record():
     bt = make_boundary_type(params, 4, mu)
     correction = lattice.correction_n(bt)
     records = [
-        params, mu, mu.profile, bt, ChainModel(2), fibral(ChainModel(2), [1, 0, 0]),
-        a_standard(bt), correction.point, correction, correction.quad,
+        params, mu, mu.profile, bt, ChainModel(2), a_standard(bt),
+        correction.point, correction, correction.quad,
         tuple(formulas.build_table(params, "st"))[0], formulas.dp_trigonal_check(4)[0],
     ]
     return {type(r).__name__: r for r in records}
@@ -39,8 +42,8 @@ RECORD_NAMES = sorted(every_record())
 def test_every_record_type_is_covered():
     assert RECORD_NAMES == sorted([
         "BoundaryType", "ChainModel", "ChainQuadratic", "CheckRow",
-        "CorrectionResult", "FibralDivisor", "GcdProfile", "HurwitzParams",
-        "Partition", "RoundedPoint", "StandardA", "TableRow"])
+        "CorrectionResult", "GcdProfile", "HurwitzParams", "Partition",
+        "RoundedPoint", "StandardA", "TableRow"])
 
 
 @pytest.mark.parametrize("name", RECORD_NAMES)
