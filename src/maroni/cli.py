@@ -184,10 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("--suite", choices=("lattice", "identities",
                                               "tables", "all"), default="all")
-    p_verify.add_argument("--radius", type=int, default=3)
+    p_verify.add_argument(
+        "--radius", type=int, default=3,
+        help="radius named by the integer-maximum lines (no larger point "
+             "within this sup-distance of the rounded point) and margin of "
+             f"the one-node scan, 0..{verify.MAX_RADIUS} (default 3)")
     p_verify.add_argument("--max-d", type=int, default=5)
     p_verify.add_argument("--max-g", type=int, default=16)
-    p_verify.add_argument("--tie-exhaustive", action="store_true")
+    p_verify.add_argument(
+        "--tie-exhaustive", action="store_true",
+        help="also round again with every tie explored and check that the "
+             "rounded points equal the default ones (identities suite)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

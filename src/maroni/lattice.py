@@ -229,37 +229,30 @@ def _correction(bt, point, std, quad) -> CorrectionResult:
     return CorrectionResult(point, std, quad, scale, delta_num, fmax_num, f_num)
 
 
-def _radius_box(center: int, radius: int) -> range:
-    return range(center - radius, center + radius + 1)
-
-
 def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
     """Check that the rounded point maximizes f within the radius box.
 
-    True if its twist form value 2(d-1) f reaches the edge bound, here the
-    exact global maximum, or if ``box_max`` finds nothing larger within
-    sup-distance ``radius`` of the point (then checked as ``correction_n``).
+    True if its twist form value 2(d-1) f reaches the edge bound, the exact
+    global maximum, which proves the claim for every radius (then checked
+    as ``correction_n``); False if it stays below.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    return _is_box_max(bt, *_parts(bt, single_round(bt)), radius)
+    return _is_certified_max(bt, *_parts(bt, single_round(bt)))
 
 
-def _is_box_max(bt, point, std, quad, radius: int) -> bool:
-    """Whether the point maximizes the twist form within the radius box.  A
-    value above the edge bound means a wrong bound, an invariant failure.  A
-    maximum is then checked as its correction; those checks hold only at the
-    rounded point, so a point below the maximum is reported first."""
-    dm1, free_x = bt.d - 1, point.xi is not None
+def _is_certified_max(bt, point, std, quad) -> bool:
+    """Whether the point's twist form value reaches the edge bound.  A value
+    above the bound means a wrong bound, an invariant failure; one below it
+    is not certified.  A certified maximum is then checked as its correction;
+    those checks hold only at the rounded point, so an uncertified point is
+    reported first."""
     best = quad.value(twist_states(bt.d, point.alpha, point.xi))
-    bound = quad.edge_bound(dm1, free_x)
+    bound = quad.edge_bound(bt.d - 1, point.xi is not None)
     if best > bound:
         raise InvariantError(f"twist form value {best} above its edge bound "
                              f"{bound} at {bt}")
-    boxes = ([(x, dm1 * n - x) for n in _radius_box(a, radius)
-              for x in _radius_box(xi, radius if free_x else 0) if x >= 0]
-             for a, xi in zip(point.alpha, point.xi or itertools.repeat(0)))
-    if best < bound and quad.box_max(boxes) > best:
+    if best < bound:
         return False
     _correction(bt, point, std, quad)
     return True
@@ -353,11 +346,10 @@ def correction_ln(bt: BoundaryType) -> CorrectionResult:
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
     """Check that (alpha, xi) maximizes the joint twist within the radius box.
 
-    True if the point's value reaches the edge bound (which drops xi >= 0),
-    or if ``box_max`` finds nothing larger among the integer moves of both
-    coordinate blocks within the radius with xi >= 0 (then checked as
-    ``correction_ln``).
+    True if the point's value reaches the edge bound, which drops xi >= 0,
+    so no integer move of both coordinate blocks, at any radius, is larger
+    (then checked as ``correction_ln``); False if it stays below.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    return _is_box_max(bt, *_parts(bt, joint_round(bt), bt.chain_nums(bt.l)), radius)
+    return _is_certified_max(bt, *_parts(bt, joint_round(bt), bt.chain_nums(bt.l)))

@@ -16,9 +16,10 @@ d-1, so its per-edge maxima sum to a bound, ``edge_bound``.  The best v of
 a coset costs at most w1 (d-1)^2/4, so only u with w0 (u - P/(2w0))^2 <=
 w0/4 + w1 (d-1)^2/4 are tried, each with the two coset points around
 Q/(2w1).  The bound is the single twist's exact maximum (u = 0) and drops
-xi >= 0 for the joint one; a rounded point above it is an invariant
-failure, and only one below it goes to the radius-box dynamic program
-``box_max`` (tested against the naive scan).
+xi >= 0 for the joint one.  It is the only lattice oracle: a rounded point
+that reaches it is a maximum over the whole lattice, one above it is an
+invariant failure, and one below it is not certified.  The tests check it
+against an exact box dynamic program and the naive scan.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class ChainQuadratic(NamedTuple):
 
     The value is sum_i (p_i x_i + q_i g_i) - sum_{i=1}^m (w0 (x_{i-1} -
     x_i)^2 + w1 (g_{i-1} - g_i)^2) with (p_i, q_i) = ``linear[i]``,
-    (w0, w1) = ``weights`` and s_m pinned to (0, 0).  A box is one iterable
-    of allowed states per chain position.
+    (w0, w1) = ``weights`` and s_m pinned to (0, 0).
     """
 
     linear: tuple[tuple[int, int], ...]
@@ -48,41 +48,12 @@ class ChainQuadratic(NamedTuple):
         return sum(p * x + q * g - w0 * (x - xn) ** 2 - w1 * (g - gn) ** 2
                    for (p, q), (x, g), (xn, gn) in zip(self.linear, states, states[1:]))
 
-    def box_max(self, boxes) -> int:
-        """Exact maximum over the box by dynamic programming along the chain.
-
-        A predecessor at (x', g') with score sc reaches a state (x, g) with
-        sc - w0 (x' - x)^2 - w1 (g' - g)^2 = k + p x + q g - w0 x^2 - w1 g^2,
-        where the line (p, q, k) = (2 w0 x', 2 w1 g', sc - w0 x'^2 - w1 g'^2)
-        is stored per state, so each pair costs two products in integers.
-        With f = 3 g_0 - (g_0 - g_1)^2 - g_1^2 on a two-node chain, the
-        brute-force maximum over -2..2 in each node is 4, at (2, 1):
-
-        >>> quad = ChainQuadratic(((0, 3), (0, 0)), weights=(0, 1))
-        >>> box = [(0, g) for g in range(-2, 3)]
-        >>> quad.box_max([box, box]), quad.value([(0, 2), (0, 1)])
-        (4, 4)
-        """
-        w0, w1 = self.weights
-
-        def line(x, g, score):
-            return 2 * w0 * x, 2 * w1 * g, score - w0 * x * x - w1 * g * g
-
-        def reach(lines, x, g):
-            best = max([k + p * x + q * g for p, q, k in lines])
-            return best - w0 * x * x - w1 * g * g
-
-        boxes, (p, q) = list(boxes), self.linear[0]
-        lines = [line(x, g, p * x + q * g) for x, g in boxes[0]]
-        for (p, q), box in zip(self.linear[1:], boxes[1:]):
-            lines = [line(x, g, p * x + q * g + reach(lines, x, g)) for x, g in box]
-        return reach(lines, 0, 0)
-
     def edge_bound(self, mod: int, free_x: bool = True) -> int:
         """The sum of per-edge maxima over states with x + g = 0 mod ``mod``.
 
         Tries u with (2 w0 u - P)^2 <= w0^2 + w0 w1 mod^2, or u = 0 unless
-        ``free_x`` (module docstring).  On ``box_max``'s example, mod 1:
+        ``free_x`` (module docstring).  With f = 3 g_0 - (g_0 - g_1)^2 - g_1^2
+        on a two-node chain, mod 1, the maximum is 4, at (2, 1):
 
         >>> ChainQuadratic(((0, 3), (0, 0)), weights=(0, 1)).edge_bound(1, False)
         4

@@ -29,9 +29,10 @@ LATTICE_MAX_LCM = 6
 PATEL_MAX_K = 10
 WE_SQUARE_MAX_D = 12
 TABLE2_GS = range(4, 11, 2)
-# the box dynamic program, the fallback for a point below its edge bound,
-# costs O(m (2r+1)^4) per joint type at radius r and the types grow fast
-# with d, so radii outside 0..MAX_RADIUS and max_d above MAX_D are rejected
+# the radius names the claim of the lattice lines, which the edge bound
+# proves for every r, and sets the margin of the one-node scan, whose work
+# grows with it; the types grow fast with d, so radii outside
+# 0..MAX_RADIUS and max_d above MAX_D are rejected
 MAX_RADIUS = 12
 MAX_D = 10
 
@@ -241,7 +242,10 @@ def _check_radius(radius: int) -> None:
 
 
 def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
-    """Brute-force integer-maximum oracles over an enumerated range."""
+    """Integer-maximum certificates over an enumerated range.
+
+    The twist lines hold when the rounded point reaches its edge bound, and
+    the one-node line scans its fibre with margin ``radius``."""
     _check_radius(radius)
     single = CheckResult(f"single-twist integer maximum (radius {radius})")
     joint = CheckResult(f"joint-twist integer maximum (radius {radius})")

@@ -275,8 +275,7 @@ def test_run_suites_aggregator():
 
 
 def test_verify_rejects_a_radius_above_the_cap(monkeypatch, capsys):
-    # the joint box DP grows as (2r+1)^4 with the radius, so a radius past
-    # the cap is a usage error, raised before any check runs
+    # a radius past the cap is a usage error, raised before any check runs
     from maroni import lattice
     from maroni.verify import MAX_RADIUS
 

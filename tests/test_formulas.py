@@ -9,6 +9,7 @@ from maroni.combinatorics import (
     HurwitzParams,
     Partition,
     enumerate_boundary_types,
+    enumerate_partitions,
     make_boundary_type,
 )
 from maroni.errors import DomainError
@@ -252,6 +253,22 @@ def test_edge_terms_pair_to_multiples_of_eight_d_minus_one():
             cases += 1
             assert value % (8 * (d - 1)) == 0, (d, c, s, value)
     assert cases == 51_100
+
+
+def test_delta_steps_are_antisymmetric_with_the_parity_of_d_minus_n():
+    # the steps s_i = delta_i - delta_{i+1} (i < m) mirror, s_{m-1-i} = -s_i,
+    # because delta is symmetric, and each has the parity of d - n, so of c:
+    # with the paired edge terms above, delta_n is an integer for every
+    # partition of these degrees and every genus
+    partitions = 0
+    for d in range(3, 13):
+        for mu in enumerate_partitions(d):
+            partitions += 1
+            delta = mu.profile.delta
+            steps = [delta[i] - delta[i + 1] for i in range(mu.m)]
+            assert steps == [-s for s in reversed(steps)], mu
+            assert all((s - d + mu.n) % 2 == 0 for s in steps), mu
+    assert partitions == 268
 
 
 def test_build_table_d3_g2():

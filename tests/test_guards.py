@@ -30,9 +30,10 @@
    import in ``src/maroni`` is a standard-library module or ``maroni``.
 7. The tie search has one path, ``verify --tie-exhaustive`` down to the
    roundings: no other function takes ``explore_ties``.
-8. The lattice maxima are certified by the edge bound: on the benchmark's
-   ``verify`` range no box dynamic program runs, and the ``classes`` path
-   runs neither the bound, the box program nor A.
+8. The lattice maxima are certified by the edge bound alone: ``src/maroni``
+   defines no box search (the box program is a test oracle), the edge
+   bound settles every case of the benchmark's ``verify`` range, and the
+   ``classes`` path runs neither the bound nor A.
 9. A published-table row has one verdict: ``formulas.check_row`` is the
    only function that builds a ``CheckRow``, and the table commands and
    their ``verify`` checks compare nothing but a row's status.
@@ -98,13 +99,28 @@ def _forbid(monkeypatch, owner, *names):
 
 
 def test_verify_all_certifies_every_maximum_without_a_box(monkeypatch):
-    _forbid(monkeypatch, twist.ChainQuadratic, "box_max")
+    defined = set()
+    for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    assert not defined & {"box_max", "_radius_box"}
+    bound, calls = twist.ChainQuadratic.edge_bound, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return bound(self, *args, **kwargs)
+
+    monkeypatch.setattr(twist.ChainQuadratic, "edge_bound", counted)
     test_benchmark_command_prints_its_golden_output("verify_all")
+    assert len(calls) == 110 + 74  # one bound per integer-maximum case
 
 
 @pytest.mark.parametrize("variant", formulas.VARIANTS)
 def test_classes_path_runs_no_bound_box_or_a(monkeypatch, variant):
-    _forbid(monkeypatch, twist.ChainQuadratic, "edge_bound", "box_max")
+    _forbid(monkeypatch, twist.ChainQuadratic, "edge_bound")
     _forbid(monkeypatch, lattice, "a_standard")
     for d in range(3, 7):
         for k in (1, 2):

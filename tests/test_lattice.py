@@ -16,6 +16,7 @@ from chain_divisors import (
     standard_divisor,
     theta_representative,
 )
+from box_oracle import box_max, scan_max
 from maroni.chain import ChainModel, a_standard, intersect
 from maroni.combinatorics import (
     HurwitzParams,
@@ -370,9 +371,12 @@ def _box(center, radius):
     return range(center - radius, center + radius + 1)
 
 
-def scan_max(quad, boxes):
-    """The chain DP's reference: the box enumerated point by point."""
-    return max(quad.value(states) for states in itertools.product(*boxes))
+def test_box_max_example():
+    # with f = 3 g_0 - (g_0 - g_1)^2 - g_1^2 on a two-node chain, the
+    # brute-force maximum over -2..2 in each node is 4, at (2, 1)
+    quad = twist.ChainQuadratic(((0, 3), (0, 0)), weights=(0, 1))
+    box = [(0, g) for g in range(-2, 3)]
+    assert (box_max(quad, [box, box]), quad.value([(0, 2), (0, 1)])) == (4, 4)
 
 
 def single_quadratic(bt):
@@ -395,10 +399,10 @@ def test_integer_max_methods_agree():
         best = quad.value(twist_states(bt.d, alpha))
         for radius in range(3):
             boxes = [twist_states(bt.d, _box(a, radius)) for a in alpha]
-            assert scan_max(quad, boxes) == quad.box_max(boxes) == best
+            assert scan_max(quad, boxes) == box_max(quad, boxes) == best
             moved = [twist_states(bt.d, _box(a + 2 * radius + 1, radius))
                      for a in alpha]
-            assert scan_max(quad, moved) == quad.box_max(moved) <= best
+            assert scan_max(quad, moved) == box_max(quad, moved) <= best
 
 
 def _joint_boxes(bt):
@@ -438,7 +442,7 @@ def test_edge_bound_is_at_least_every_box_maximum():
                 around = [twist_states(d, _box(a, radius)) for a in alpha]
                 moved = [twist_states(d, _box(a - 2 * radius - 1, radius))
                          for a in alpha]
-                assert quad.box_max(around) == bound >= quad.box_max(moved)
+                assert box_max(quad, around) == bound >= box_max(quad, moved)
             if not bt.mu.has_unit_part:
                 continue
             joint += 1
@@ -446,10 +450,32 @@ def test_edge_bound_is_at_least_every_box_maximum():
             bound = quad.edge_bound(d - 1)
             assert bound >= best
             for radius in range(3):
-                assert bound >= quad.box_max(boxes(radius)) >= best
-                assert bound >= quad.box_max(
-                    boxes(radius, 2 * radius + 1, -2 * radius - 1, nonneg=False))
+                assert bound >= box_max(quad, boxes(radius)) >= best
+                assert bound >= box_max(quad, boxes(
+                    radius, 2 * radius + 1, -2 * radius - 1, nonneg=False))
     assert (cases, joint) == (1256, 928)
+
+
+def test_edge_bound_settles_every_lattice_suite_case():
+    # the edge bound is the only lattice oracle, so nothing is lost: on every
+    # type the lattice suite accepts, both rounded points reach their bound
+    from maroni.verify import LATTICE_KS, LATTICE_MAX_LCM, MAX_D
+
+    single = joint = 0
+    for d, k in itertools.product(range(3, MAX_D + 1), LATTICE_KS):
+        for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
+            if bt.m > LATTICE_MAX_LCM:
+                continue
+            quad = single_quadratic(bt)
+            states = twist_states(d, single_round(bt).alpha)
+            assert quad.value(states) == quad.edge_bound(d - 1, free_x=False), bt
+            single += 1
+            if bt.mu.has_unit_part:
+                pt, quad = joint_round(bt), joint_quadratic(bt)
+                states = twist_states(d, pt.alpha, pt.xi)
+                assert quad.value(states) == quad.edge_bound(d - 1), bt
+                joint += 1
+    assert (single, joint) == (1631, 1266)
 
 
 def test_edge_bound_is_the_exact_maximum_of_one_edge():
@@ -481,44 +507,39 @@ def _verify_all_lattice_types():
 
 
 @pytest.mark.parametrize("shift", [1, -1])
-def test_oracles_fall_back_to_the_box_when_the_bound_is_missed(monkeypatch, shift):
-    # a bound one above the rounded value (the bound meets it on this range)
-    # sends every oracle to box_max, whose answer it must then return; a
-    # wrong bound below the value is an invariant failure naming the type,
-    # raised before any box is built
+def test_oracles_trust_only_the_exact_edge_bound(monkeypatch, capsys, shift):
+    # the bound meets the rounded value on this range.  One above it
+    # certifies nothing: every oracle returns False, and verify's two
+    # integer-maximum lines fail with exit 1.  A wrong bound below the value
+    # is an invariant failure naming the type
     bound = twist.ChainQuadratic.edge_bound
-    box_max = twist.ChainQuadratic.box_max
-    calls = []
-
-    def spy(self, boxes):
-        calls.append(self)
-        return box_max(self, boxes)
-
     monkeypatch.setattr(twist.ChainQuadratic, "edge_bound",
                         lambda self, *a, **kw: bound(self, *a, **kw) + shift)
-    monkeypatch.setattr(twist.ChainQuadratic, "box_max", spy)
     oracles = 0
     for bt in _verify_all_lattice_types():
-        if shift < 0:
-            applicable = 1 + bt.mu.has_unit_part
-            for oracle in (verify_integer_max, verify_joint_max)[:applicable]:
+        applicable = 1 + bt.mu.has_unit_part
+        for oracle in (verify_integer_max, verify_joint_max)[:applicable]:
+            if shift < 0:
                 with pytest.raises(InvariantError, match=(
                         r"above its edge bound -?\d+ at " + re.escape(str(bt)) + "$")):
                     oracle(bt, 3)
-                oracles += 1
-            continue
-        alpha = single_round(bt).alpha
-        quad = single_quadratic(bt)
-        dp = box_max(quad, [twist_states(bt.d, _box(a, 3)) for a in alpha]) <= (
-            quad.value(twist_states(bt.d, alpha)))
-        assert verify_integer_max(bt, 3) == dp
-        oracles += 1
-        if bt.mu.has_unit_part:
-            quad, best, boxes = _joint_boxes(bt)
-            assert verify_joint_max(bt, 3) == (box_max(quad, boxes(3)) <= best)
+            else:
+                assert not oracle(bt, 3)
             oracles += 1
     assert oracles == 110 + 74  # verify_all's two case counts
-    assert len(calls) == (oracles if shift > 0 else 0)
+    if shift < 0:
+        return
+    from maroni.cli import main
+
+    assert main(["verify", "--suite", "lattice", "--max-d", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("[")] == [
+        "[FAIL] single-twist integer maximum (radius 3): 110 cases checked",
+        "[FAIL] joint-twist integer maximum (radius 3): 74 cases checked",
+        "[PASS] twisted divisors effective with no fibre part: 184 cases checked",
+        "[PASS] split one-node fibre effective maximum: 5 cases checked",
+    ]
+    assert lines[-1] == "RESULT: FAIL"
 
 
 def _lowering_move(quad, d, alpha, xi=None):
@@ -533,8 +554,8 @@ def _lowering_move(quad, d, alpha, xi=None):
 
 def test_oracles_reject_a_point_moved_below_the_maximum(monkeypatch):
     # some +-1 moves reach other maximizers, so each case moves the point
-    # by a step that lowers its value: the bound is missed and the box,
-    # which holds the true rounded point, finds a larger value
+    # by a step that lowers its value: the bound is missed and the point is
+    # not certified
     single, joint = lattice.single_round, lattice.joint_round
     for bt in _verify_all_lattice_types():
         pt = single(bt)
@@ -581,10 +602,11 @@ def test_scan_radius_validation():
 
 
 def test_joint_boxes_at_the_radius_cap_stay_within_budget():
-    # the joint box DP compares every state with every state of the box
-    # before it; count those predecessor pairs at verify's radius cap over
-    # the default lattice range (max_d 5) without running the DP.  About
-    # 1.7e7 pairs, 2.5 s of verify_joint_max on a shared 2-core host; the
+    # the radius cap keeps the lattice lines' claim within what the box
+    # oracle can check: its joint DP compares every state with every state
+    # of the box before it; count those predecessor pairs at verify's radius
+    # cap over the default lattice range (max_d 5) without running the DP.
+    # About 1.7e7 pairs, 2.5 s of box_max on a shared 2-core host; the
     # count grows as (2r+1)^4, so radius 50 would be some 160 times that
     from maroni.verify import LATTICE_KS, LATTICE_MAX_LCM, MAX_RADIUS
 
@@ -746,10 +768,10 @@ def test_joint_max_methods_agree():
         for radius in range(3):
             boxes = [box(_box(a, radius), [x for x in _box(xi, radius) if x >= 0])
                      for a, xi in zip(pt.alpha, pt.xi)]
-            assert scan_max(quad, boxes) == quad.box_max(boxes) == best
+            assert scan_max(quad, boxes) == box_max(quad, boxes) == best
             moved = [box(_box(a + 2 * radius + 1, radius), _box(xi + radius, radius))
                      for a, xi in zip(pt.alpha, pt.xi)]
-            assert scan_max(quad, moved) == quad.box_max(moved) <= best
+            assert scan_max(quad, moved) == box_max(quad, moved) <= best
 
 
 def test_joint_quadratic_matches_pairing_functional():
