@@ -127,13 +127,8 @@ def cmd_patel(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    results = verify.run_suites(
-        args.suite,
-        radius=args.radius,
-        max_d=args.max_d,
-        max_g=args.max_g,
-        explore_ties=args.tie_exhaustive,
-    )
+    results = verify.run_suites(args.suite, max_d=args.max_d, max_g=args.max_g,
+                                explore_ties=args.tie_exhaustive)
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         out.write(f"[{status}] {res.name}: {res.checked} cases checked\n")
@@ -184,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("--suite", choices=("lattice", "identities",
                                               "tables", "all"), default="all")
-    p_verify.add_argument(
-        "--radius", type=int, default=3,
-        help="radius named by the integer-maximum lines (no larger point "
-             "within this sup-distance of the rounded point) and margin of "
-             f"the one-node scan, 0..{verify.MAX_RADIUS} (default 3)")
     p_verify.add_argument("--max-d", type=int, default=5)
     p_verify.add_argument("--max-g", type=int, default=16)
     p_verify.add_argument(

@@ -12,11 +12,13 @@ derived integer data collected here:
   vector delta_i = d - sum_nu d_{nu,i} for i = 0..m;
 * the division (j + d - n)/2 = q(d-1) + r with 0 <= r < d - 1 and the
   degree imbalance c = d - n - 2r across the two end components of the
-  fibre chain; c' is the imbalance of the same division of l = b - j.
+  fibre chain; c' is the imbalance of the same division of l = b - j,
+  the c of the flipped type.
 
-A pair (j, mu) is admissible only when j + d - n is even; both c and c'
-are stored so the side-independence |c|(|c| - 2(d-1)) = |c'|(|c'| - 2(d-1))
-can be asserted rather than assumed.
+A pair (j, mu) is admissible only when j + d - n is even.  Only c is
+stored; c' is computed from l by ``BoundaryType.flipped``, so the
+side-independence |c|(|c| - 2(d-1)) = |c'|(|c'| - 2(d-1)) can be asserted
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ class BoundaryType(NamedTuple):
 
     The orientation convention puts j branch points on the end component
     R_m of the resolved fibre chain and l = b - j on the other end R_0;
-    r and c are computed from j, c' from l.  Construct through
+    r and c are computed from j; c' is ``flipped().c``.  Construct through
     :func:`make_boundary_type`, which enforces the parity condition.
     """
 
@@ -163,7 +165,6 @@ class BoundaryType(NamedTuple):
     q: int
     r: int
     c: int
-    cprime: int
 
     def __str__(self) -> str:
         """The short label messages name a type by: d=4 g=3 j=4 mu=(3|1)."""
@@ -213,8 +214,7 @@ def make_boundary_type(params: HurwitzParams, j: int, mu: Partition) -> Boundary
     """Build an admissible boundary type, rejecting parity violations.
 
     The branch index must satisfy 2 <= j <= b - 2 and j + d - n must be
-    even; then (j + d - n)/2 = q(d-1) + r defines q, r and c = d - n - 2r,
-    and the same division applied to l = b - j gives c'.
+    even; then (j + d - n)/2 = q(d-1) + r defines q, r and c = d - n - 2r.
     """
     if mu.d != params.d:
         raise DomainError(f"partition {mu} is not a partition of d={params.d}")
@@ -224,16 +224,7 @@ def make_boundary_type(params: HurwitzParams, j: int, mu: Partition) -> Boundary
     if (j + d - n) % 2 != 0:
         raise ParityError(f"j + d - n = {j + d - n} is odd for j={j}, mu={mu}")
     q, r = divmod((j + d - n) // 2, d - 1)
-    _, rprime = divmod((b - j + d - n) // 2, d - 1)
-    return BoundaryType(
-        params=params,
-        j=j,
-        mu=mu,
-        q=q,
-        r=r,
-        c=d - n - 2 * r,
-        cprime=d - n - 2 * rprime,
-    )
+    return BoundaryType(params=params, j=j, mu=mu, q=q, r=r, c=d - n - 2 * r)
 
 
 # the most boundary types one command may enumerate (linear in g at each d)

@@ -241,14 +241,20 @@ def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
     return _is_certified_max(bt, *_parts(bt, single_round(bt)))
 
 
+def twist_certificate(bt: BoundaryType, point: RoundedPoint,
+                      quad: ChainQuadratic) -> tuple[int, int]:
+    """The point's twist form value 2(d-1) f and the edge bound it must reach."""
+    return (quad.value(twist_states(bt.d, point.alpha, point.xi)),
+            quad.edge_bound(bt.d - 1, point.xi is not None))
+
+
 def _is_certified_max(bt, point, std, quad) -> bool:
     """Whether the point's twist form value reaches the edge bound.  A value
     above the bound means a wrong bound, an invariant failure; one below it
     is not certified.  A certified maximum is then checked as its correction;
     those checks hold only at the rounded point, so an uncertified point is
     reported first."""
-    best = quad.value(twist_states(bt.d, point.alpha, point.xi))
-    bound = quad.edge_bound(bt.d - 1, point.xi is not None)
+    best, bound = twist_certificate(bt, point, quad)
     if best > bound:
         raise InvariantError(f"twist form value {best} above its edge bound "
                              f"{bound} at {bt}")

@@ -29,11 +29,7 @@ LATTICE_MAX_LCM = 6
 PATEL_MAX_K = 10
 WE_SQUARE_MAX_D = 12
 TABLE2_GS = range(4, 11, 2)
-# the radius names the claim of the lattice lines, which the edge bound
-# proves for every r, and sets the margin of the one-node scan, whose work
-# grows with it; the types grow fast with d, so radii outside
-# 0..MAX_RADIUS and max_d above MAX_D are rejected
-MAX_RADIUS = 12
+# the types grow fast with d, so max_d above MAX_D is rejected
 MAX_D = 10
 
 # the fourteen positive single-twist corrections for d = 3, 4, 5, keyed by
@@ -194,9 +190,9 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             ):
                 symmetry.fail(str(bt))
 
-            cvc.count()
-            if abs(bt.c) * (abs(bt.c) - 2 * (bt.d - 1)) != abs(bt.cprime) * (
-                abs(bt.cprime) - 2 * (bt.d - 1)
+            cvc.count()  # c' is flip.c, computed from l
+            if abs(bt.c) * (abs(bt.c) - 2 * (bt.d - 1)) != abs(flip.c) * (
+                abs(flip.c) - 2 * (bt.d - 1)
             ):
                 cvc.fail(str(bt))
 
@@ -236,17 +232,18 @@ def run_we_square_check() -> CheckResult:
     return result
 
 
-def _check_radius(radius: int) -> None:
-    if not 0 <= radius <= MAX_RADIUS:
-        raise DomainError(f"radius must be in 0..{MAX_RADIUS}, got {radius}")
+def _missed(bt, res: lattice.CorrectionResult) -> str:
+    """A failed integer-maximum line: the type, its value and its bound."""
+    value, bound = lattice.twist_certificate(bt, res.point, res.quad)
+    return f"{bt}: twist form value {value} below its edge bound {bound}"
 
 
 def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
     """Integer-maximum certificates over an enumerated range.
 
-    The twist lines hold when the rounded point reaches its edge bound, and
-    the one-node line scans its fibre with margin ``radius``."""
-    _check_radius(radius)
+    The twist lines hold when the rounded point reaches its edge bound, a
+    maximum over the whole lattice, so the radius only names the claim of
+    their labels; the one-node line scans its fibre with margin ``radius``."""
     single = CheckResult(f"single-twist integer maximum (radius {radius})")
     joint = CheckResult(f"joint-twist integer maximum (radius {radius})")
     effective = CheckResult("twisted divisors effective with no fibre part")
@@ -257,18 +254,17 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
             for bt in enumerate_boundary_types(params):
                 if bt.m > LATTICE_MAX_LCM:
                     continue
-                # each oracle checks effectivity (raising) at a maximum it finds
+                # each oracle checks effectivity (raising) at a maximum it
+                # finds; a missed one is checked by its correction
                 single.count()
                 effective.count()
                 if not lattice.verify_integer_max(bt, radius):
-                    single.fail(str(bt))
-                    lattice.correction_n(bt)
+                    single.fail(_missed(bt, lattice.correction_n(bt)))
                 if bt.mu.has_unit_part:
                     joint.count()
                     effective.count()
                     if not lattice.verify_joint_max(bt, radius):
-                        joint.fail(str(bt))
-                        lattice.correction_ln(bt)
+                        joint.fail(_missed(bt, lattice.correction_ln(bt)))
                 if d == 3 and bt.mu.parts == (1, 1, 1):
                     nodal.count()
                     if not lattice.verify_trigonal_nodal_max(bt, radius):
@@ -276,9 +272,8 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
     return [single, joint, effective, nodal]
 
 
-def run_suites(suite: str, *, radius: int, max_d: int, max_g: int,
+def run_suites(suite: str, *, max_d: int, max_g: int,
                explore_ties: bool = False) -> list[CheckResult]:
-    _check_radius(radius)  # for every suite, not only the one that reads it
     if max_d < 3:  # no boundary type below d = 3, g = 2: checks would be empty
         raise DomainError(f"max-d must be >= 3, got {max_d}")
     if max_d > MAX_D:
@@ -288,7 +283,7 @@ def run_suites(suite: str, *, radius: int, max_d: int, max_g: int,
     check_type_count(_params_range(max_d, max_g), f"max-g {max_g} at max-d {max_d}")
     out: list[CheckResult] = []
     if suite in ("lattice", "all"):
-        out.extend(run_lattice_suite(max_d=max_d, radius=radius))
+        out.extend(run_lattice_suite(max_d=max_d))
     if suite in ("identities", "all"):
         out.extend(run_identity_suite(max_d=max_d, max_g=max_g,
                                       explore_ties=explore_ties))

@@ -171,8 +171,9 @@ def test_criterion_6_structural_invariants():
         for k in (1, 2, 3):
             params = HurwitzParams(d, (d - 1) * k)
             for bt in enumerate_boundary_types(params):
-                if abs(bt.c) * (abs(bt.c) - 2 * (d - 1)) != abs(bt.cprime) * (
-                    abs(bt.cprime) - 2 * (d - 1)
+                cprime = bt.flipped().c
+                if abs(bt.c) * (abs(bt.c) - 2 * (d - 1)) != abs(cprime) * (
+                    abs(cprime) - 2 * (d - 1)
                 ):
                     failures.append(f"c vs c': {params} j={bt.j} mu={bt.mu}")
                 if sigma_st(bt) != sigma_st(bt.flipped()):

@@ -242,8 +242,7 @@ def test_degree_guard_rejects_inconsistent_type():
     from maroni.errors import InvariantError
 
     params = HurwitzParams(3, 4)
-    bad = BoundaryType(params, j=4, mu=Partition((3,)), q=1, r=1, c=2,
-                       cprime=0)
+    bad = BoundaryType(params, j=4, mu=Partition((3,)), q=1, r=1, c=2)
     with pytest.raises(InvariantError):
         a_standard(bad)
 

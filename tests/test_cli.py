@@ -268,25 +268,10 @@ def test_verify_tables_suite():
 def test_run_suites_aggregator():
     from maroni.verify import run_suites
 
-    results = run_suites("all", radius=2, max_d=4, max_g=6)
+    results = run_suites("all", max_d=4, max_g=6)
     assert results and all(r.ok for r in results)
     names = " ".join(r.name for r in results)
     assert "integer maximum" in names and "table1" in names
-
-
-def test_verify_rejects_a_radius_above_the_cap(monkeypatch, capsys):
-    # a radius past the cap is a usage error, raised before any check runs
-    from maroni import lattice
-    from maroni.verify import MAX_RADIUS
-
-    def forbidden(*args):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr(lattice, "verify_integer_max", forbidden)
-    assert main(["verify", "--radius", str(MAX_RADIUS + 1)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: radius must be in 0..{MAX_RADIUS}, got {MAX_RADIUS + 1}\n"
 
 
 def _forbid_every_suite(monkeypatch):
@@ -305,13 +290,16 @@ def _forbid_every_suite(monkeypatch):
 def test_verify_rejects_a_radius_outside_the_range_for_every_suite(
     monkeypatch, capsys, suite, radius
 ):
-    from maroni.verify import MAX_RADIUS
-
+    # the edge bound settles every radius, so verify takes none: any value
+    # is argparse's usage error before a suite runs
     _forbid_every_suite(monkeypatch)
-    assert main(["verify", "--suite", suite, "--radius", str(radius)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--radius", str(radius)])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: radius must be in 0..{MAX_RADIUS}, got {radius}\n"
+    assert err.startswith("usage: maroni")
+    assert f"unrecognized arguments: --radius {radius}" in err
 
 
 @pytest.mark.parametrize("suite", ["lattice", "identities", "tables", "all"])

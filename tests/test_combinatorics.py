@@ -154,14 +154,15 @@ def test_imbalance_depends_on_residue_only():
 
 
 def test_c_versus_cprime_invariant():
+    # c' is the c of the flipped type, computed from l = b - j
     for d, g in [(3, 2), (3, 6), (4, 3), (4, 9), (5, 8), (6, 10)]:
         params = HurwitzParams(d, g)
         for bt in enumerate_boundary_types(params):
-            lhs = abs(bt.c) * (abs(bt.c) - 2 * (d - 1))
-            rhs = abs(bt.cprime) * (abs(bt.cprime) - 2 * (d - 1))
-            assert lhs == rhs
             flip = bt.flipped()
-            assert (flip.c, flip.cprime) == (bt.cprime, bt.c)
+            lhs = abs(bt.c) * (abs(bt.c) - 2 * (d - 1))
+            rhs = abs(flip.c) * (abs(flip.c) - 2 * (d - 1))
+            assert lhs == rhs
+            assert flip.flipped() == bt
 
 
 def test_boundary_type_is_hashable_and_frozen():
@@ -203,7 +204,7 @@ def test_derived_partition_data_is_fresh_and_invisible():
     bt = types[0]
     assert repr(bt) == (
         "BoundaryType(params=HurwitzParams(d=5, g=8), j=2, mu=Partition(parts=(5,)), "
-        f"q={bt.q}, r={bt.r}, c={bt.c}, cprime={bt.cprime})")
+        f"q={bt.q}, r={bt.r}, c={bt.c})")
 
 
 def test_type_count_matches_the_enumeration():

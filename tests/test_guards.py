@@ -42,8 +42,12 @@
 11. Every name the benchmark's tracer wraps resolves on the module it
     names, and the roundings take ``explore_ties`` second, where the
     tracer reads it.  ``perfbench/tracer.py`` is read, never written.
+12. ``verify`` takes no option that adds work without cause: its options
+    are pinned, and the retired ``--radius``, whose every value the edge
+    bound settles, is argparse's usage error.
 """
 
+import argparse
 import ast
 import collections
 import contextlib
@@ -73,7 +77,7 @@ import maroni.lattice as lattice
 import maroni.nodal as nodal
 import maroni.twist as twist
 from maroni import formulas, verify
-from maroni.cli import main
+from maroni.cli import build_parser, main
 from maroni.combinatorics import HurwitzParams, enumerate_boundary_types
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -561,3 +565,20 @@ def test_every_traced_name_resolves_on_its_module():
         second = list(inspect.signature(getattr(lattice, name)).parameters.values())[1]
         assert (second.name, second.kind) == (
             "explore_ties", inspect.Parameter.POSITIONAL_OR_KEYWORD), name
+
+
+def test_verify_options_are_pinned_and_take_no_radius(capsys):
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {opt for action in sub.choices["verify"]._actions
+               for opt in action.option_strings}
+    assert options == {"-h", "--help", "--suite", "--max-d", "--max-g",
+                       "--tie-exhaustive"}
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--radius", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: maroni")
+    assert err.endswith("error: unrecognized arguments: --radius 3\n")
+    assert "Traceback" not in err

@@ -540,6 +540,13 @@ def test_oracles_trust_only_the_exact_edge_bound(monkeypatch, capsys, shift):
         "[PASS] split one-node fibre effective maximum: 5 cases checked",
     ]
     assert lines[-1] == "RESULT: FAIL"
+    # each failure names its type, its twist form value and the bound it
+    # missed, here by exactly the shift
+    missed = [re.fullmatch(r" {7}d=\d+ g=\d+ j=\d+ mu=\([\d|]+\): twist form "
+                           r"value (-?\d+) below its edge bound (-?\d+)", line)
+              for line in lines if line.startswith(" ")]
+    assert len(missed) == 110 + 74 and all(missed)
+    assert all(int(hit[2]) == int(hit[1]) + shift for hit in missed)
 
 
 def _lowering_move(quad, d, alpha, xi=None):
@@ -602,15 +609,15 @@ def test_scan_radius_validation():
 
 
 def test_joint_boxes_at_the_radius_cap_stay_within_budget():
-    # the radius cap keeps the lattice lines' claim within what the box
-    # oracle can check: its joint DP compares every state with every state
-    # of the box before it; count those predecessor pairs at verify's radius
-    # cap over the default lattice range (max_d 5) without running the DP.
-    # About 1.7e7 pairs, 2.5 s of box_max on a shared 2-core host; the
-    # count grows as (2r+1)^4, so radius 50 would be some 160 times that
-    from maroni.verify import LATTICE_KS, LATTICE_MAX_LCM, MAX_RADIUS
+    # why the edge bound, not a box scan, certifies the lattice lines: the
+    # box oracle's joint DP compares every state with every state of the
+    # box before it; count those predecessor pairs at radius 12 over the
+    # default lattice range (max_d 5) without running the DP.  About 1.7e7
+    # pairs, 2.5 s of box_max on a shared 2-core host; the count grows as
+    # (2r+1)^4, so radius 50 would be some 160 times that
+    from maroni.verify import LATTICE_KS, LATTICE_MAX_LCM
 
-    r, types, pairs = MAX_RADIUS, 0, 0
+    r, types, pairs = 12, 0, 0
     for d in range(3, 6):
         for k in LATTICE_KS:
             for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
