@@ -15,14 +15,14 @@ theta.D = -e_0 - e_m.
 The engine needs only the degrees D.R_i, second differences of the
 coefficients (``component_degrees``: O(m), integers for integral D); the
 matrix pairing ``intersect`` of two coefficient vectors is kept as their
-reference.  It pairs the integer numerators of both sides over their
-common denominators through the one matrix, ``ChainModel.pairing``, and
-returns one ``Fraction``.
+reference.  The matrix entries R_i . R_j are ``pairing(m, i, j)``;
+``intersect`` pairs the integer numerators of both sides over their
+common denominators through them and returns one ``Fraction``, and the
+``verify`` degree check reads the same entries.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -31,24 +31,15 @@ from .combinatorics import BoundaryType
 from .errors import DomainError, InvariantError
 
 
-class ChainModel(namedtuple("ChainModel", "m")):
-    """A chain R_0..R_m with R_0^2 = R_m^2 = -1 and interior squares -2."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
-
-    def __new__(cls, m: int):
-        if m < 1:
-            raise DomainError(f"chain length parameter must be >= 1, got {m}")
-        return super().__new__(cls, m)
-
-    def pairing(self, i: int, j: int) -> int:
-        """The intersection number R_i . R_j."""
-        if not (0 <= i <= self.m and 0 <= j <= self.m):
-            raise DomainError(f"component index out of range for m={self.m}")
-        if i == j:
-            return -1 if i in (0, self.m) else -2
-        return 1 if abs(i - j) == 1 else 0
+def pairing(m: int, i: int, j: int) -> int:
+    """The intersection number R_i . R_j on the chain R_0..R_m, m >= 1."""
+    if m < 1:
+        raise DomainError(f"chain length parameter must be >= 1, got {m}")
+    if not (0 <= i <= m and 0 <= j <= m):
+        raise DomainError(f"component index out of range for m={m}")
+    if i == j:
+        return -1 if i in (0, m) else -2
+    return 1 if abs(i - j) == 1 else 0
 
 
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:
@@ -62,17 +53,18 @@ def intersect(e, f) -> Fraction:
     """The pairing (sum e_i R_i).(sum f_k R_k) of two coefficient vectors.
 
     Both vectors list the coefficients on R_0..R_m.  Each side is put over
-    its common denominator; the entries ``ChainModel.pairing`` on the band
+    its common denominator; the entries ``pairing`` on the band
     |i - k| <= 1 pair the integer numerators, and one ``Fraction`` is built
     at the end.  Unequal lengths, or a vector of one entry, raise
     ``DomainError``.
     """
     if len(e) != len(f):
         raise DomainError(f"coefficient vectors of lengths {len(e)} and {len(f)}")
-    chain = ChainModel(len(e) - 1)
-    m = chain.m
+    m = len(e) - 1
+    if m < 1:  # pairing rejects it too, but two empty vectors reach no entry
+        raise DomainError(f"chain length parameter must be >= 1, got {m}")
     (e, den_e), (f, den_f) = map(_over_common_denominator, (e, f))
-    total = sum(e[i] * chain.pairing(i, k) * f[k] for i in range(m + 1)
+    total = sum(e[i] * pairing(m, i, k) * f[k] for i in range(m + 1)
                 for k in range(max(i - 1, 0), min(i + 1, m) + 1))
     return Fraction(total, den_e * den_f)
 

@@ -179,8 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("--suite", choices=("lattice", "identities",
                                               "tables", "all"), default="all")
-    p_verify.add_argument("--max-d", type=int, default=5)
-    p_verify.add_argument("--max-g", type=int, default=16)
+    p_verify.add_argument("--max-d", type=int, default=5, help=(
+        f"largest degree d (3..{verify.MAX_D}) of the lattice and identities "
+        "suites; the tables suite and the W_E^2 check have fixed ranges"))
+    p_verify.add_argument("--max-g", type=int, default=16, help=(
+        "largest genus g of the identities suite's per-type checks; the lattice "
+        f"suite runs at g = (d-1)k, k in {verify.LATTICE_KS}, on chains with m <= "
+        f"{verify.LATTICE_MAX_LCM}, the patel check at k <= {verify.PATEL_MAX_K}, "
+        "and the tables suite at fixed ranges"))
     p_verify.add_argument(
         "--tie-exhaustive", action="store_true",
         help="also round again with every tie explored and check that the "

@@ -8,8 +8,9 @@ node.  Every coefficient formula in this package is a function of the
 derived integer data collected here:
 
 * n = n(mu), m = m(mu) = lcm(m_1, ..., m_n);
-* the gcd table d_{nu,i} = gcd(m_nu, i) (with d_{nu,0} = m_nu) and the
-  vector delta_i = d - sum_nu d_{nu,i} for i = 0..m;
+* the gcd table d_{nu,i} = gcd(m_nu, i) (with d_{nu,0} = m_nu), the
+  vector delta_i = d - sum_nu d_{nu,i} for i = 0..m and its step square
+  sum, which a ``Partition`` derives once and carries next to m;
 * the division (j + d - n)/2 = q(d-1) + r with 0 <= r < d - 1 and the
   degree imbalance c = d - n - 2r across the two end components of the
   fibre chain; c' is the imbalance of the same division of l = b - j,
@@ -72,9 +73,11 @@ class Partition(namedtuple("Partition", "parts")):
         if any(a < b for a, b in itertools.pairwise(parts)):
             raise DomainError(f"parts must be non-increasing, got {parts}")
         self = super().__new__(cls, parts)
-        # m = lcm(parts) and the gcd profile, derived once, outside eq/hash/repr
+        # m = lcm(parts), delta and its step square sum: once, outside eq/hash/repr
         object.__setattr__(self, "m", lcm(*parts))
-        object.__setattr__(self, "profile", gcd_profile(self))
+        delta, step_square_sum = gcd_profile(self)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "step_square_sum", step_square_sum)
         return self
 
     def __setattr__(self, name, value=None):
@@ -122,32 +125,23 @@ def enumerate_partitions(d: int) -> list[Partition]:
     return out
 
 
-class GcdProfile(NamedTuple):
+@functools.lru_cache(maxsize=None)
+def gcd_profile(mu: Partition) -> tuple[tuple[int, ...], int]:
     """The vector delta_i = d - sum_nu d_{nu,i} and its step square sum.
 
     d_{nu,i} = gcd(m_nu, i) for i = 0..m, so d_{nu,0} = m_nu; since m_nu
     divides m also d_{nu,m} = m_nu, hence delta_0 = delta_m = 0.  The
-    vector is symmetric, delta_i = delta_{m-i}.  Only delta and its step
-    square sum are stored; the partition is the ``gcd_profile`` cache key, so
-    equal partitions share one profile.
-    """
+    vector is symmetric, delta_i = delta_{m-i}.  The step square sum is
+    sum_{i=1}^m (delta_i - delta_{i-1})^2.  The partition is the cache key,
+    so equal partitions share one pair.
 
-    delta: tuple[int, ...]
-    step_square_sum: int  # sum_{i=1}^m (delta_i - delta_{i-1})^2
-
-
-@functools.lru_cache(maxsize=None)
-def gcd_profile(mu: Partition) -> GcdProfile:
-    """Compute the delta vector of a partition.
-
-    >>> gcd_profile(Partition((3,))).delta
-    (0, 2, 2, 0)
+    >>> gcd_profile(Partition((3,)))
+    ((0, 2, 2, 0), 8)
     """
     d, m = mu.d, mu.m
     # gcd(m_nu, 0) = m_nu is the convention d_{nu,0} = m_nu
     delta = tuple(d - sum(gcd(p, i) for p in mu.parts) for i in range(m + 1))
-    steps = sum((a - b) ** 2 for a, b in itertools.pairwise(delta))
-    return GcdProfile(delta, steps)
+    return delta, sum((a - b) ** 2 for a, b in itertools.pairwise(delta))
 
 
 class BoundaryType(NamedTuple):
@@ -193,16 +187,16 @@ class BoundaryType(NamedTuple):
 
     @property
     def delta(self) -> tuple[int, ...]:
-        return self.mu.profile.delta
+        return self.mu.delta
 
     @property
     def delta_square_sum(self) -> int:
-        return self.mu.profile.step_square_sum
+        return self.mu.step_square_sum
 
     def chain_nums(self, x: int) -> list[int]:
         """(m-i)x - delta_i, i < m: twice -A at x = c, the critical twist
         over 2(d-1) at x = a, the branch numerators X_i at x = l."""
-        m, delta = self.mu.m, self.mu.profile.delta
+        m, delta = self.mu.m, self.mu.delta
         return [(m - i) * x - delta[i] for i in range(m)]
 
     def flipped(self) -> "BoundaryType":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import formulas, lattice
-from .chain import ChainModel, component_degrees
+from .chain import component_degrees, pairing
 from .combinatorics import (
     HurwitzParams,
     Partition,
@@ -198,8 +198,9 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
 
             degrees.count()
             std = res1.std  # a_standard raised InvariantError on any defect
-            chain, coeffs = ChainModel(bt.m), [-a for a in std.alpha] + [0]
-            if any(sum(e * chain.pairing(t, i) for t, e in enumerate(coeffs)) != deg
+            m, coeffs = bt.m, [-a for a in std.alpha] + [0]
+            if any(sum(coeffs[t] * pairing(m, t, i)
+                       for t in range(max(i - 1, 0), min(i + 1, m) + 1)) != deg
                    for i, deg in enumerate(std.degrees)):
                 degrees.fail(f"{bt}: A.R_i differ from the matrix pairing")
 
@@ -225,9 +226,9 @@ def run_we_square_check() -> CheckResult:
     for d in range(1, WE_SQUARE_MAX_D + 1):
         for mu in enumerate_partitions(d):
             result.count()
-            delta = mu.profile.delta  # W_E = sum delta_i R_i, paired by the matrix rows
-            pairing = sum(e * deg for e, deg in zip(delta, component_degrees(delta)))
-            if pairing != -mu.profile.step_square_sum:
+            delta = mu.delta  # W_E = sum delta_i R_i, paired by the matrix rows
+            square = sum(e * deg for e, deg in zip(delta, component_degrees(delta)))
+            if square != -mu.step_square_sum:
                 result.fail(f"mu={mu}")
     return result
 

@@ -164,8 +164,8 @@ def test_criterion_6_structural_invariants():
     failures = []
     for d in range(1, 13):
         for mu in enumerate_partitions(d):
-            prof = gcd_profile(mu)
-            if intersect(prof.delta, prof.delta) != -prof.step_square_sum:
+            delta, steps = gcd_profile(mu)
+            if intersect(delta, delta) != -steps:
                 failures.append(f"branch square: mu={mu}")
     for d in range(3, 7):
         for k in (1, 2, 3):

@@ -19,11 +19,11 @@ from chain_divisors import (
 )
 from gcd_table import table_twist_degrees
 from maroni.chain import (
-    ChainModel,
     a_standard,
     component_degrees,
     expected_twist_degrees,
     intersect,
+    pairing,
 )
 from maroni.combinatorics import (
     HurwitzParams,
@@ -47,12 +47,11 @@ def divisors(draw, max_m=8):
             max_size=m + 1,
         )
     )
-    return fibral(ChainModel(m), coeffs)
+    return fibral(m, coeffs)
 
 
 def test_pairing_matrix_entries():
-    chain = ChainModel(3)
-    r = [component(chain, i).coeffs for i in range(4)]
+    r = [component(3, i).coeffs for i in range(4)]
     assert intersect(r[0], r[0]) == -1
     assert intersect(r[3], r[3]) == -1
     assert intersect(r[1], r[1]) == -2
@@ -62,18 +61,26 @@ def test_pairing_matrix_entries():
 
 def test_bilinear_pairing_extends_matrix_rule():
     for m in range(1, 7):
-        chain = ChainModel(m)
         for i in range(m + 1):
             for j in range(m + 1):
-                assert intersect(component(chain, i).coeffs,
-                                 component(chain, j).coeffs) == (
-                    chain.pairing(i, j)
-                )
+                assert intersect(component(m, i).coeffs,
+                                 component(m, j).coeffs) == pairing(m, i, j)
+
+
+@pytest.mark.parametrize("m, i, j, message", [
+    (0, 0, 0, "must be >= 1, got 0"),  # one component: no chain
+    (-1, 0, 0, "must be >= 1, got -1"),
+    (2, 3, 0, "index out of range for m=2"),
+    (2, 0, -1, "index out of range for m=2"),
+])
+def test_pairing_rejects_a_chain_or_index_out_of_range(m, i, j, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        pairing(m, i, j)
 
 
 @given(divisors())
 def test_full_fibre_is_numerically_trivial(d):
-    assert intersect(full_fibre(d.chain).coeffs, d.coeffs) == 0
+    assert intersect(full_fibre(d.m).coeffs, d.coeffs) == 0
 
 
 @st.composite
@@ -81,8 +88,7 @@ def divisor_pairs(draw, max_m=8):
     m = draw(st.integers(min_value=1, max_value=max_m))
     coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
     rows = st.lists(coeff, min_size=m + 1, max_size=m + 1)
-    chain = ChainModel(m)
-    return fibral(chain, draw(rows)), fibral(chain, draw(rows))
+    return fibral(m, draw(rows)), fibral(m, draw(rows))
 
 
 @given(divisor_pairs())
@@ -99,21 +105,21 @@ def test_square_closed_form(d):
     assert intersect(e, e) == closed
 
 
-@example(fibral(ChainModel(1), [Fraction(1, 3), 2]))  # m = 1: no interior row
+@example(fibral(1, [Fraction(1, 3), 2]))  # m = 1: no interior row
 @given(divisors())
 def test_component_degrees_match_matrix_pairing(d):
-    expected = [intersect(d.coeffs, component(d.chain, i).coeffs)
-                for i in range(d.chain.m + 1)]
+    expected = [intersect(d.coeffs, component(d.m, i).coeffs)
+                for i in range(d.m + 1)]
     assert list(component_degrees(d.coeffs)) == expected
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(DomainError):
-        intersect(zero_divisor(ChainModel(2)).coeffs, zero_divisor(ChainModel(3)).coeffs)
+        intersect(zero_divisor(2).coeffs, zero_divisor(3).coeffs)
     with pytest.raises(DomainError):
-        fibral(ChainModel(2), [1, 2])
+        fibral(2, [1, 2])
     with pytest.raises(DomainError):
-        zero_divisor(ChainModel(2)) - zero_divisor(ChainModel(3))
+        zero_divisor(2) - zero_divisor(3)
 
 
 @pytest.mark.parametrize("e, f, message", [
@@ -136,17 +142,16 @@ def test_intersect_pairs_ints_and_fractions_exactly():
 
 
 def test_theta_on_fibre():
-    assert theta_dot(full_fibre(ChainModel(4))) == -2
+    assert theta_dot(full_fibre(4)) == -2
 
 
 def test_theta_adjunction_matches_representative():
     rng = random.Random(0)
     for m in range(1, 9):
-        chain = ChainModel(m)
-        rep = theta_representative(chain)
+        rep = theta_representative(m)
         for _ in range(200):
             d = fibral(
-                chain,
+                m,
                 [
                     Fraction(rng.randint(-60, 60), rng.randint(1, 12))
                     for _ in range(m + 1)
@@ -164,17 +169,15 @@ def test_theta_against_standard_twist_divisor():
 
 
 def test_shift_examples():
-    chain = ChainModel(2)
-    d = fibral(chain, [2, 3, 1])
+    d = fibral(2, [2, 3, 1])
     sh, fib = shift_and_fibre_part(d)
     assert sh.coeffs == (Fraction(-1), Fraction(0), Fraction(-2))
     assert fib.coeffs == (Fraction(1), Fraction(1), Fraction(1))
 
-    z = zero_divisor(chain)
+    z = zero_divisor(2)
     assert shift_and_fibre_part(z) == (z, z)
 
-    chain1 = ChainModel(1)
-    d = fibral(chain1, [-1, -1])
+    d = fibral(1, [-1, -1])
     sh, fib = shift_and_fibre_part(d)
     assert sh.coeffs == (Fraction(0), Fraction(0))
     assert fib.coeffs == (Fraction(-1), Fraction(-1))
@@ -265,8 +268,8 @@ def test_we_divisor_examples():
 def test_we_square_closed_form_up_to_d12():
     for d in range(1, 13):
         for mu in enumerate_partitions(d):
-            prof = gcd_profile(mu)
-            assert intersect(prof.delta, prof.delta) == -prof.step_square_sum
+            delta, steps = gcd_profile(mu)
+            assert intersect(delta, delta) == -steps
 
 
 def test_normal_surface_basic_numbers():

@@ -494,12 +494,26 @@ def test_verify_runs_the_smallest_range():
     assert ": 0 cases checked" not in text
 
 
+def test_verify_help_names_the_suites_each_range_bounds(monkeypatch, capsys):
+    # --max-g bounds only the identities suite: the lattice suite runs at
+    # fixed k and the tables suite at fixed ranges, whatever the options say
+    monkeypatch.setenv("COLUMNS", "500")  # one line per option, no hyphen breaks
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--max-d MAX_D largest degree d (3..10) of the lattice and "
+            "identities suites") in text
+    assert ("--max-g MAX_G largest genus g of the identities suite's per-type "
+            "checks; the lattice suite runs at g = (d-1)k, k in (1, 2), on "
+            "chains with m <= 6") in text
+    assert "the tables suite at fixed ranges" in text
+
+
 def test_verify_degree_check_compares_matrix_pairing(monkeypatch):
     # the check pairs A's coefficients through the matrix entries
-    # ChainModel.pairing; a wrong entry must show as a failed check
-    from maroni.chain import ChainModel
-
-    monkeypatch.setattr(ChainModel, "pairing", lambda self, i, j: 0)
+    # pairing(m, i, j); a wrong entry must show as a failed check
+    monkeypatch.setattr(verify, "pairing", lambda m, i, j: 0)
     code, text = run_cli("verify", "--suite", "identities",
                          "--max-d", "4", "--max-g", "6")
     assert code == 1

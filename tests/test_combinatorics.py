@@ -67,9 +67,9 @@ def test_partition_validation_and_parse():
 
 
 def test_gcd_profile_examples():
-    assert gcd_profile(Partition((3,))).delta == (0, 2, 2, 0)
-    assert gcd_profile(Partition((1, 1, 1))).delta == (0, 0)
-    assert gcd_profile(Partition((4,))).delta == (0, 3, 2, 3, 0)
+    assert gcd_profile(Partition((3,))) == ((0, 2, 2, 0), 8)
+    assert gcd_profile(Partition((1, 1, 1))) == ((0, 0), 0)
+    assert gcd_profile(Partition((4,))) == ((0, 3, 2, 3, 0), 20)
     # column 0 carries the parts themselves
     assert [row[0] for row in d_table(Partition((4, 2)))] == [4, 2]
 
@@ -77,8 +77,7 @@ def test_gcd_profile_examples():
 def test_delta_symmetry_and_nonnegativity():
     for d in range(1, 13):
         for mu in enumerate_partitions(d):
-            delta = gcd_profile(mu).delta
-            m = mu.m
+            delta, m = mu.delta, mu.m
             assert delta[0] == delta[m] == 0
             assert all(x >= 0 for x in delta)
             assert all(delta[i] == delta[m - i] for i in range(m + 1))
@@ -174,15 +173,15 @@ def test_boundary_type_is_hashable_and_frozen():
 
 
 def test_derived_partition_data_is_fresh_and_invisible():
-    # m and the gcd profile are derived once per partition object; each must
-    # equal a fresh computation from the parts, and neither may show in
-    # equality, hashing or repr
+    # m, delta and its step square sum are derived once per partition
+    # object; each must equal a fresh computation from the parts, and none
+    # may show in equality, hashing or repr
     for d in range(1, 13):
         for mu in enumerate_partitions(d):
             m = lcm(*mu.parts)
             delta = tuple(d - sum(gcd(p, i) for p in mu.parts) for i in range(m + 1))
             steps = sum((a - b) ** 2 for a, b in itertools.pairwise(delta))
-            assert (mu.m, mu.profile.delta, mu.profile.step_square_sum) == (
+            assert (mu.m, mu.delta, mu.step_square_sum) == (
                 m, delta, steps), mu
             assert repr(mu) == f"Partition(parts={mu.parts!r})"
             assert hash(mu) == hash((mu.parts,))
@@ -190,7 +189,7 @@ def test_derived_partition_data_is_fresh_and_invisible():
     types = enumerate_boundary_types(params)
     for bt in types:
         assert (bt.m, bt.delta, bt.delta_square_sum) == (
-            lcm(*bt.mu.parts), bt.mu.profile.delta, bt.mu.profile.step_square_sum)
+            lcm(*bt.mu.parts), bt.mu.delta, bt.mu.step_square_sum)
     # a set and a dict built from one enumeration answer for fresh objects
     rebuilt = [make_boundary_type(params, bt.j, Partition(tuple(bt.mu.parts)))
                for bt in types]

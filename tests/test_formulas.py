@@ -264,7 +264,7 @@ def test_delta_steps_are_antisymmetric_with_the_parity_of_d_minus_n():
     for d in range(3, 13):
         for mu in enumerate_partitions(d):
             partitions += 1
-            delta = mu.profile.delta
+            delta = mu.delta
             steps = [delta[i] - delta[i + 1] for i in range(mu.m)]
             assert steps == [-s for s in reversed(steps)], mu
             assert all((s - d + mu.n) % 2 == 0 for s in steps), mu

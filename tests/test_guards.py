@@ -40,8 +40,10 @@
 10. The package binds no names: ``maroni/__init__.py`` is its docstring
     and callers import from the modules.
 11. Every name the benchmark's tracer wraps resolves on the module it
-    names, and the roundings take ``explore_ties`` second, where the
-    tracer reads it.  ``perfbench/tracer.py`` is read, never written.
+    names, the roundings take ``explore_ties`` second, where the tracer
+    reads it, and ``gcd_profile`` keeps the cache whose hits and misses
+    the traced child reports.  ``perfbench/tracer.py`` is read, never
+    written.
 12. ``verify`` takes no option that adds work without cause: its options
     are pinned, and the retired ``--radius``, whose every value the edge
     bound settles, is argparse's usage error.
@@ -297,14 +299,13 @@ def _small_types():
 
 def test_reference_pairings_stay_exact_on_integers():
     for bt in _small_types():
-        model = chain.ChainModel(bt.m)
         nvec, xvec = list(range(1 - bt.m, 1)), list(range(bt.m))
         std = chain.a_standard(bt)
         n_int, a_int = [*nvec, 0], [-a for a in std.alpha] + [0]
-        n_div, a_div = fibral(model, n_int), standard_divisor(std)
+        n_div, a_div = fibral(bt.m, n_int), standard_divisor(std)
         divisors = [n_div, a_div, add(n_div, a_div), n_div - a_div,
-                    n_div.scaled(-1), n_div.scaled(2), full_fibre(model),
-                    component(model, 0)]
+                    n_div.scaled(-1), n_div.scaled(2), full_fibre(bt.m),
+                    component(bt.m, 0)]
         assert all(type(c) is Fraction for div in divisors for c in div.coeffs)
         values = [chain.intersect(n_int, a_int), chain.intersect(a_int, a_int),
                   chain.intersect(n_div.coeffs, a_div.coeffs), theta_dot(a_div),
@@ -565,6 +566,12 @@ def test_every_traced_name_resolves_on_its_module():
         second = list(inspect.signature(getattr(lattice, name)).parameters.values())[1]
         assert (second.name, second.kind) == (
             "explore_ties", inspect.Parameter.POSITIONAL_OR_KEYWORD), name
+    # the traced child reports the hits and misses of the gcd_profile cache,
+    # which every new Partition looks up once
+    before = combinatorics.gcd_profile.cache_info()
+    combinatorics.Partition((2, 1))
+    after = combinatorics.gcd_profile.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 def test_verify_options_are_pinned_and_take_no_radius(capsys):

@@ -17,7 +17,7 @@ from chain_divisors import (
     theta_representative,
 )
 from box_oracle import box_max, scan_max
-from maroni.chain import ChainModel, a_standard, intersect
+from maroni.chain import a_standard, intersect
 from maroni.combinatorics import (
     HurwitzParams,
     Partition,
@@ -90,22 +90,20 @@ def small_types(max_d=5, gs=None):
 
 def test_f_vanishes_at_zero():
     for bt in small_types():
-        chain = ChainModel(bt.m)
-        assert f_twist(bt, fibral(chain, [0] * (bt.m + 1)).coeffs) == 0
+        assert f_twist(bt, fibral(bt.m, [0] * (bt.m + 1)).coeffs) == 0
 
 
 def test_f_at_dualizing_representative():
     # the representative is an integral point with value mc/2
     for bt in small_types():
-        rep = theta_representative(ChainModel(bt.m))
+        rep = theta_representative(bt.m)
         assert f_twist(bt, rep.coeffs) == Fraction(bt.m * bt.c, 2)
 
 
 def test_f_at_single_component():
     # mu=(3), c=0: R_0 is one of the tie branches of the rounded maximum
     bt = bt_of(3, 4, 4, (3,))
-    chain = ChainModel(3)
-    assert f_twist(bt, component(chain, 0).coeffs) == 1
+    assert f_twist(bt, component(3, 0).coeffs) == 1
 
 
 @settings(max_examples=60)
@@ -117,12 +115,11 @@ def test_f_invariant_under_fibre_shift(seed, q):
     rng = random.Random(seed)
     types = list(small_types(max_d=4))
     bt = types[seed % len(types)]
-    chain = ChainModel(bt.m)
     n = fibral(
-        chain,
+        bt.m,
         [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(bt.m + 1)],
     )
-    shifted = add(n, full_fibre(chain).scaled(q))
+    shifted = add(n, full_fibre(bt.m).scaled(q))
     assert f_twist(bt, n.coeffs) == f_twist(bt, shifted.coeffs)
 
 
@@ -150,7 +147,7 @@ def test_fmax_examples():
 def test_fmax_equals_f_at_critical_point():
     for bt in small_types():
         crit = oracle_critical_n(bt)
-        n = fibral(ChainModel(bt.m), crit + [0])
+        n = fibral(bt.m, crit + [0])
         assert f_twist(bt, n.coeffs) == oracle_fmax_n(bt)
 
 
@@ -163,12 +160,11 @@ def test_fmax_bounds_f_near_critical_point():
         if bt.m > 3:
             continue
         crit = oracle_critical_n(bt)
-        chain = ChainModel(bt.m)
         centers = [round(t) for t in crit]
         fmax = oracle_fmax_n(bt)
         for h in itertools.product(range(-3, 4), repeat=bt.m):
             coords = [c + dh for c, dh in zip(centers, h)]
-            assert f_twist(bt, fibral(chain, coords + [0]).coeffs) <= fmax
+            assert f_twist(bt, fibral(bt.m, coords + [0]).coeffs) <= fmax
 
 
 # ---------------------------------------------------------------------------
@@ -608,28 +604,33 @@ def test_scan_radius_validation():
         verify_integer_max(bt, radius=-1)
 
 
-def test_joint_boxes_at_the_radius_cap_stay_within_budget():
-    # why the edge bound, not a box scan, certifies the lattice lines: the
-    # box oracle's joint DP compares every state with every state of the
-    # box before it; count those predecessor pairs at radius 12 over the
-    # default lattice range (max_d 5) without running the DP.  About 1.7e7
-    # pairs, 2.5 s of box_max on a shared 2-core host; the count grows as
-    # (2r+1)^4, so radius 50 would be some 160 times that
+def test_edge_bound_tries_few_candidates_over_the_joint_range(monkeypatch):
+    # why the edge bound, not a box scan, certifies the lattice lines: per
+    # edge it tries only the u of its window (``range`` in ``edge_bound``),
+    # each with two coset points; count those u over the joint types of the
+    # default lattice range (max_d 5).  A joint box DP at radius r compares
+    # every state with every state of the box before it, up to (2r+1)^4
+    # pairs an edge: about 1.7e7 at radius 12 on this range
     from maroni.verify import LATTICE_KS, LATTICE_MAX_LCM
 
-    r, types, pairs = 12, 0, 0
+    windows = []
+
+    def counted_range(*args):
+        windows.append(range(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(twist, "range", counted_range, raising=False)
+    types = edges = 0
     for d in range(3, 6):
         for k in LATTICE_KS:
             for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
                 if bt.m > LATTICE_MAX_LCM or not bt.mu.has_unit_part:
                     continue
-                pt = joint_round(bt)
-                sizes = [sum(x >= 0 for _ in _box(a, r) for x in _box(xi, r))
-                         for a, xi in zip(pt.alpha, pt.xi)]
-                types += 1
-                pairs += sum(p * q for p, q in zip(sizes, sizes[1:])) + sizes[-1]
-    assert types == 74
-    assert pairs <= 2 * 10**7
+                joint_quadratic(bt).edge_bound(bt.d - 1)
+                types, edges = types + 1, edges + bt.m
+                assert len(windows) == edges  # one window per edge
+    sizes = [len(w) for w in windows]
+    assert (types, edges, min(sizes), max(sizes), sum(sizes)) == (74, 159, 2, 3, 385)
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +704,10 @@ def test_branch_functional_matches_branch_pairing():
     for bt in small_types(max_d=6):
         if not bt.mu.has_unit_part:
             continue
-        chain = ChainModel(bt.m)
         rep = branch_functional_divisor(bt)
-        exceptional = fibral(chain, bt.delta)
+        exceptional = fibral(bt.m, bt.delta)
         for t in range(bt.m):
-            r_t = component(chain, t).coeffs
+            r_t = component(bt.m, t).coeffs
             expected = (bt.l if t == 0 else 0) + intersect(exceptional.coeffs, r_t)
             assert intersect(rep.coeffs, r_t) == expected
 

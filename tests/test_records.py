@@ -16,7 +16,7 @@ import pytest
 
 from chain_divisors import FibralDivisor, fibral
 from maroni import formulas, lattice
-from maroni.chain import ChainModel, a_standard
+from maroni.chain import a_standard
 from maroni.combinatorics import HurwitzParams, Partition, make_boundary_type
 from maroni.errors import DomainError
 from maroni.verify import CheckResult
@@ -29,7 +29,7 @@ def every_record():
     bt = make_boundary_type(params, 4, mu)
     correction = lattice.correction_n(bt)
     records = [
-        params, mu, mu.profile, bt, ChainModel(2), a_standard(bt),
+        params, mu, bt, a_standard(bt),
         correction.point, correction, correction.quad,
         tuple(formulas.build_table(params, "st"))[0], formulas.dp_trigonal_check(4)[0],
     ]
@@ -41,9 +41,8 @@ RECORD_NAMES = sorted(every_record())
 
 def test_every_record_type_is_covered():
     assert RECORD_NAMES == sorted([
-        "BoundaryType", "ChainModel", "ChainQuadratic", "CheckRow",
-        "CorrectionResult", "GcdProfile", "HurwitzParams", "Partition",
-        "RoundedPoint", "StandardA", "TableRow"])
+        "BoundaryType", "ChainQuadratic", "CheckRow", "CorrectionResult",
+        "HurwitzParams", "Partition", "RoundedPoint", "StandardA", "TableRow"])
 
 
 @pytest.mark.parametrize("name", RECORD_NAMES)
@@ -58,12 +57,12 @@ def test_no_field_can_be_assigned(name):
 
 def test_partition_derived_data_is_read_only():
     mu = Partition((3, 2, 1))
-    for attr in ("m", "profile"):
+    for attr in ("m", "delta", "step_square_sum"):
         with pytest.raises(AttributeError):
             setattr(mu, attr, getattr(mu, attr))
         with pytest.raises(AttributeError):
             delattr(mu, attr)
-    assert (mu.m, mu.profile.delta[1]) == (6, 3)
+    assert (mu.m, mu.delta[1], mu.step_square_sum) == (6, 3, 22)
 
 
 @pytest.mark.parametrize("name", RECORD_NAMES)
@@ -77,19 +76,19 @@ def test_replace_round_trips(name):
 def test_replace_runs_the_constructor_checks():
     mu = Partition((3, 1))
     other = mu._replace(parts=(2, 2))
-    assert (other.m, other.profile) == (2, Partition((2, 2)).profile)
+    assert (other.m, other.delta, other.step_square_sum) == (2, (0, 2, 0), 8)
     with pytest.raises(DomainError):
         mu._replace(parts=(1, 3))
     with pytest.raises(DomainError):
         HurwitzParams(3, 4)._replace(d=2)
     with pytest.raises(DomainError):
-        ChainModel(2)._replace(m=0)
+        fibral(2, [1, 0, 0])._replace(m=0)
     with pytest.raises(DomainError):
-        fibral(ChainModel(2), [1, 0, 0])._replace(coeffs=(Fraction(1),))
+        fibral(2, [1, 0, 0])._replace(coeffs=(Fraction(1),))
 
 
 def test_divisors_do_not_concatenate_or_repeat():
-    f = fibral(ChainModel(2), [1, 2, 0])
+    f = fibral(2, [1, 2, 0])
     for operation in (lambda: f + f, lambda: f * 2, lambda: 2 * f, lambda: f * f):
         with pytest.raises(TypeError):
             operation()
