@@ -38,17 +38,7 @@ CSV_HEADER = "j,mu,n,m,r,c,coefficient,variant,provenance"
 
 def _text(value) -> str:
     """Render one cell: rationals exactly as p/q, absent values as '-'."""
-    if value is None:
-        return "-"
-    return str(value)
-
-
-def _json_cell(value):
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+    return "-" if value is None else str(value)
 
 
 def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
@@ -64,9 +54,8 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
         for row in rows:
             out.write(",".join(_text(v) for v in row) + "\n")
     elif fmt == "json":
-        payload = [
-            {h: _json_cell(v) for h, v in zip(header, row)} for row in rows
-        ]
+        payload = [{h: str(v) if isinstance(v, Fraction) else v
+                    for h, v in zip(header, row)} for row in rows]
         json.dump(payload, out, indent=2)
         out.write("\n")
     else:
@@ -83,7 +72,7 @@ def _emit_rows(header: list[str], rows: Iterable[list], fmt: str, out) -> None:
 
 
 def cmd_classes(args, out) -> int:
-    table = formulas.build_table(_params(args), args.variant)
+    table = formulas.build_table(HurwitzParams(args.d, args.g), args.variant)
     rows = (
         [r.bt.j, str(r.bt.mu), r.bt.n, r.bt.m, r.bt.r, r.bt.c, r.coefficient,
          args.variant, r.provenance]
@@ -120,7 +109,7 @@ def cmd_table2(args, out) -> int:
 
 
 def cmd_patel(args, out) -> int:
-    rows = formulas.patel_consistency(_params(args))
+    rows = formulas.patel_consistency(HurwitzParams(args.d, args.g))
     cells = ([r.family, r.expected, r.computed, r.status] for r in rows)
     return _emit_checks(["piece", "coefficient", "sigma_st_at_j2", "status"],
                         cells, rows, args.format, out)
@@ -137,10 +126,6 @@ def cmd_verify(args, out) -> int:
     failed = not all(res.ok for res in results)
     out.write("RESULT: " + ("FAIL\n" if failed else "PASS\n"))
     return 1 if failed else 0
-
-
-def _params(args) -> HurwitzParams:
-    return HurwitzParams(args.d, args.g)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_patel.set_defaults(func=cmd_patel)
 
     p_verify = sub.add_parser("verify", help="run property suites")
-    p_verify.add_argument("--suite", choices=("lattice", "identities",
-                                              "tables", "all"), default="all")
+    p_verify.add_argument("--suite", choices=verify.SUITES, default="all")
     p_verify.add_argument("--max-d", type=int, default=5, help=(
         f"largest degree d (3..{verify.MAX_D}) of the lattice and identities "
         "suites; the tables suite and the W_E^2 check have fixed ranges"))
@@ -196,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

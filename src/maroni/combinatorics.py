@@ -30,7 +30,7 @@ from collections import namedtuple
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import DomainError, ParityError
+from .errors import DomainError
 
 
 class HurwitzParams(namedtuple("HurwitzParams", "d g")):
@@ -216,7 +216,7 @@ def make_boundary_type(params: HurwitzParams, j: int, mu: Partition) -> Boundary
     if not 2 <= j <= b - 2:
         raise DomainError(f"branch index j={j} outside 2..{b - 2}")
     if (j + d - n) % 2 != 0:
-        raise ParityError(f"j + d - n = {j + d - n} is odd for j={j}, mu={mu}")
+        raise DomainError(f"j + d - n = {j + d - n} is odd for j={j}, mu={mu}")
     q, r = divmod((j + d - n) // 2, d - 1)
     return BoundaryType(params=params, j=j, mu=mu, q=q, r=r, c=d - n - 2 * r)
 
@@ -225,13 +225,29 @@ def make_boundary_type(params: HurwitzParams, j: int, mu: Partition) -> Boundary
 MAX_TYPES = 20_000
 
 
-def check_type_count(param_range, label: str) -> int:
-    """The type count of a range (per mu, j = 2 + (d-n) % 2 .. b/2 by 2)."""
-    count = sum((params.b // 2 - 2 - (params.d - mu.n) % 2) // 2 + 1
-                for params in param_range for mu in enumerate_partitions(params.d))
+def type_count(d: int, max_k: int, min_k: int = 0) -> int:
+    """The canonical types of degree d over every g = (d-1)k, min_k < k <= max_k.
+
+    With a = d - 1 and s = k + 1 (b/2 = sa) a partition with p = (d-n) % 2
+    has floor((sa - p)/2) types, j = 2 + p, ... <= b/2.  Over s = 1..t they
+    sum to (at(t+1)/2 - pt - odd)/2, odd counting the odd sa - p.
+
+    >>> type_count(3, 1), type_count(3, 2), type_count(3, 2, 1)
+    (5, 13, 8)
+    """
+    a, total = d - 1, 0
+    for mu in enumerate_partitions(d):
+        p = (d - mu.n) % 2
+        for t, sign in ((max_k + 1, 1), (min_k + 1, -1)):
+            odd = p * t if a % 2 == 0 else (t + 1 - p) // 2
+            total += sign * ((a * t * (t + 1) // 2 - p * t - odd) // 2)
+    return total
+
+
+def check_type_count(count: int, label: str) -> None:
+    """Reject a range of ``count`` boundary types above ``MAX_TYPES``."""
     if count > MAX_TYPES:
         raise DomainError(f"{label} gives {count} boundary types (cap {MAX_TYPES})")
-    return count
 
 
 def enumerate_boundary_types(params: HurwitzParams) -> list[BoundaryType]:

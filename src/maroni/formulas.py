@@ -46,6 +46,7 @@ from .combinatorics import (
     check_type_count,
     enumerate_boundary_types,
     make_boundary_type,
+    type_count,
 )
 from .errors import DomainError
 
@@ -169,7 +170,8 @@ def build_table(params: HurwitzParams, variant: str) -> Iterator[TableRow]:
         raise DomainError(f"unknown variant {variant!r}")
     if params.d > MAX_D:
         raise DomainError(f"d must be <= {MAX_D}, got {params.d}")
-    check_type_count([params], f"g={params.g} at d={params.d}")
+    check_type_count(type_count(params.d, params.k, params.k - 1),
+                     f"g={params.g} at d={params.d}")
     return _rows(params, variant)
 
 

@@ -19,6 +19,7 @@ from .combinatorics import (
     enumerate_boundary_types,
     enumerate_partitions,
     make_boundary_type,
+    type_count,
 )
 from .errors import DomainError, InvariantError
 
@@ -31,6 +32,7 @@ WE_SQUARE_MAX_D = 12
 TABLE2_GS = range(4, 11, 2)
 # the types grow fast with d, so max_d above MAX_D is rejected
 MAX_D = 10
+SUITES = ("lattice", "identities", "tables", "all")
 
 # the fourteen positive single-twist corrections for d = 3, 4, 5, keyed by
 # (d, parts, j mod 2(d-1))
@@ -53,8 +55,8 @@ TABLE1: dict[tuple[int, tuple[int, ...], int], int] = {
 
 
 class CheckResult:
-    def __init__(self, name: str, checked: int = 0):
-        self.name, self.checked, self.failures = name, checked, []
+    def __init__(self, name: str):
+        self.name, self.checked, self.failures = name, 0, []
 
     @property
     def ok(self) -> bool:
@@ -139,11 +141,8 @@ def run_patel_check(max_d: int) -> CheckResult:
 
 
 def _params_range(max_d: int, max_g: int):
-    for d in range(3, max_d + 1):
-        g = d - 1
-        while g <= max_g:
-            yield HurwitzParams(d, g)
-            g += d - 1
+    return (HurwitzParams(d, g) for d in range(3, max_d + 1)
+            for g in range(d - 1, max_g + 1, d - 1))
 
 
 def run_identity_suite(max_d: int = 6, max_g: int = 20,
@@ -275,13 +274,16 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
 
 def run_suites(suite: str, *, max_d: int, max_g: int,
                explore_ties: bool = False) -> list[CheckResult]:
+    if suite not in SUITES:  # an unknown suite would run no check at all
+        raise DomainError(f"unknown suite {suite!r}")
     if max_d < 3:  # no boundary type below d = 3, g = 2: checks would be empty
         raise DomainError(f"max-d must be >= 3, got {max_d}")
     if max_d > MAX_D:
         raise DomainError(f"max-d must be <= {MAX_D}, got {max_d}")
     if max_g < 2:
         raise DomainError(f"max-g must be >= 2, got {max_g}")
-    check_type_count(_params_range(max_d, max_g), f"max-g {max_g} at max-d {max_d}")
+    check_type_count(sum(type_count(d, max_g // (d - 1)) for d in range(3, max_d + 1)),
+                     f"max-g {max_g} at max-d {max_d}")
     out: list[CheckResult] = []
     if suite in ("lattice", "all"):
         out.extend(run_lattice_suite(max_d=max_d))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -285,6 +286,16 @@ def _forbid_every_suite(monkeypatch):
             monkeypatch.setattr(verify, name, forbidden)
 
 
+def test_run_suites_rejects_an_unknown_suite(monkeypatch):
+    # a name that selects no suite would return no check, which cmd_verify
+    # would print as RESULT: PASS; argparse guards only the command line
+    from maroni.verify import run_suites
+
+    _forbid_every_suite(monkeypatch)
+    with pytest.raises(DomainError, match=r"^unknown suite 'lattices'$"):
+        run_suites("lattices", max_d=3, max_g=2)
+
+
 @pytest.mark.parametrize("radius", [-1, 100])
 @pytest.mark.parametrize("suite", ["lattice", "identities", "tables", "all"])
 def test_verify_rejects_a_radius_outside_the_range_for_every_suite(
@@ -317,7 +328,7 @@ def test_verify_types_at_the_max_d_cap():
     # counted without running a check; `run_suites("all", max_d=10)` took
     # 3.4 s in process on a shared 2-core host
     from maroni.combinatorics import (
-        MAX_TYPES, HurwitzParams, check_type_count, enumerate_boundary_types,
+        MAX_TYPES, HurwitzParams, enumerate_boundary_types, type_count,
     )
     from maroni.verify import (
         LATTICE_KS, LATTICE_MAX_LCM, MAX_D, _params_range,
@@ -331,7 +342,8 @@ def test_verify_types_at_the_max_d_cap():
     assert (len(identity), max(bt.m for bt in identity)) == (2184, 30)
     assert len(lattice) == 1631
     # the type cap counts the same range without building it
-    assert check_type_count(_params_range(MAX_D, 16), "verify") == 2184 < MAX_TYPES
+    assert sum(type_count(d, 16 // (d - 1))
+               for d in range(3, MAX_D + 1)) == 2184 < MAX_TYPES
 
 
 def test_classes_rejects_a_degree_above_the_cap(monkeypatch, capsys):
@@ -352,14 +364,14 @@ def test_classes_types_at_the_degree_cap():
     # counted without computing a row; `build_table` at the cap (d = 20,
     # g = 19, variant min) took 3.3 s in process on a shared 2-core host
     from maroni.combinatorics import (
-        MAX_TYPES, HurwitzParams, check_type_count, enumerate_boundary_types,
+        MAX_TYPES, HurwitzParams, enumerate_boundary_types, type_count,
     )
     from maroni.formulas import MAX_D
 
     params = HurwitzParams(MAX_D, MAX_D - 1)
     types = enumerate_boundary_types(params)
     assert (len(types), max(bt.m for bt in types)) == (11603, 420)
-    assert check_type_count([params], "classes") == 11603 < MAX_TYPES
+    assert type_count(MAX_D, 1) == 11603 < MAX_TYPES
 
 
 def test_classes_rejects_a_genus_above_the_type_cap(monkeypatch, capsys):
@@ -525,7 +537,8 @@ def test_verify_reports_failures_with_exit_one(monkeypatch):
     import maroni.cli as cli
     from maroni.verify import CheckResult
 
-    bad = CheckResult("synthetic check", checked=3)
+    bad = CheckResult("synthetic check")
+    bad.count()
     bad.fail("synthetic counterexample")
     monkeypatch.setattr(cli.verify, "run_suites", lambda *a, **kw: [bad])
     code, text = run_cli("verify", "--suite", "tables")
@@ -644,6 +657,19 @@ def test_console_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == ""
+
+
+def test_console_rejects_a_huge_max_g_at_once():
+    # the type cap counts the range in closed form, not genus by genus, so
+    # a max-g of 10^9 is rejected as fast as a small one, whole process
+    start = time.perf_counter()
+    proc = run_module("verify", "--max-g", "1000000000")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: max-g 1000000000 at max-d 5 gives "
+                           "1229166675083333331 boundary types (cap 20000)\n")
+    assert elapsed < 1.0
 
 
 def test_console_usage_error_exit_code():

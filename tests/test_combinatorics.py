@@ -14,8 +14,9 @@ from maroni.combinatorics import (
     enumerate_partitions,
     gcd_profile,
     make_boundary_type,
+    type_count,
 )
-from maroni.errors import DomainError, ParityError
+from maroni.errors import DomainError
 
 
 def partitions_oracle(d, cap=None):
@@ -101,7 +102,7 @@ def test_make_boundary_type_division_example():
 
 
 def test_make_boundary_type_parity_rejection():
-    with pytest.raises(ParityError):
+    with pytest.raises(DomainError, match=r"^j \+ d - n = 3 is odd for j=3, mu=\(1\|1\|1\)$"):
         make_boundary_type(HurwitzParams(3, 2), 3, Partition((1, 1, 1)))
 
 
@@ -115,9 +116,8 @@ def test_make_boundary_type_range_check():
         make_boundary_type(p, 4, Partition((2, 2)))
     # j + d - n is even for mu = (2|1), so only the range check rejects these
     for j in (1, p.b - 1):
-        with pytest.raises(DomainError) as err:
+        with pytest.raises(DomainError, match=rf"^branch index j={j} outside 2\.\.6$"):
             make_boundary_type(p, j, Partition((2, 1)))
-        assert not isinstance(err.value, ParityError)
 
 
 def test_zero_remainder_example():
@@ -210,12 +210,32 @@ def test_type_count_matches_the_enumeration():
     for d in range(3, 9):
         for k in range(1, 5):
             params = HurwitzParams(d, (d - 1) * k)
-            count = check_type_count([params], "test")
+            count = type_count(d, k, k - 1)
             assert count == len(enumerate_boundary_types(params))
 
 
+def test_closed_form_type_count_equals_the_walk():
+    # walked[d][g]: the types of degree d up to genus g, one genus and
+    # partition at a time (per mu, j = 2 + (d-n) % 2 .. b/2 in steps of 2)
+    walked = {}
+    for d in range(3, 11):
+        partitions, total, walked[d] = enumerate_partitions(d), 0, []
+        for g in range(200):
+            if g and g % (d - 1) == 0:
+                b = HurwitzParams(d, g).b
+                total += sum((b // 2 - 2 - (d - mu.n) % 2) // 2 + 1 for mu in partitions)
+            walked[d].append(total)
+    for max_d in range(3, 11):
+        for max_g in range(1, 200):
+            closed = sum(type_count(d, max_g // (d - 1)) for d in range(3, max_d + 1))
+            assert closed == sum(walked[d][max_g] for d in range(3, max_d + 1))
+    assert sum(type_count(d, 160 // (d - 1)) for d in range(3, 11)) == 144872
+
+
 def test_type_count_rejects_a_range_above_the_cap():
-    params = HurwitzParams(20, 1900)
+    count = type_count(20, 100, 99)
+    assert count == 601293
     with pytest.raises(DomainError, match=rf"^g=1900 gives 601293 boundary types "
                                           rf"\(cap {MAX_TYPES}\)$"):
-        check_type_count([params], "g=1900")
+        check_type_count(count, "g=1900")
+    check_type_count(MAX_TYPES, "at the cap")

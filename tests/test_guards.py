@@ -7,12 +7,12 @@
    with, so no engine path may call it.  Likewise the nodal scan calls the
    ``Fraction`` functional ``nodal_f1`` only at its 15 identity points,
    and each correction builds A once.  Whether the joint twist applies is
-   asked of the type: no engine path catches ``DomainError`` (nor its
-   ``ParityError``, nor a base class), which only ``cli`` turns into exit
-   2.  The chain vector (m - i) x - delta_i has one builder,
-   ``BoundaryType.chain_nums``.  ``chain`` and ``lattice`` build a
-   ``Fraction`` only in the references, the two ``Fraction`` views and one
-   error message, so no ``Fraction`` divisor layer returns to the engine.
+   asked of the type: no engine path catches ``DomainError`` (nor a base
+   class), which only ``cli`` turns into exit 2.  The chain vector
+   (m - i) x - delta_i has one builder, ``BoundaryType.chain_nums``.
+   ``chain`` and ``lattice`` build a ``Fraction`` only in the references,
+   the two ``Fraction`` views and one error message, so no ``Fraction``
+   divisor layer returns to the engine.
 3. The ``Fraction`` references stay exact: on integer coefficient vectors
    and points they return ``Fraction``s, and every coefficient of the
    tests' divisor class is one (an ``int`` coefficient would turn
@@ -172,9 +172,8 @@ def test_nodal_scan_calls_the_fraction_functional_only_to_check(monkeypatch):
                 assert len(calls) <= 15  # the 15 identity points
 
 
-# DomainError, its subclass and its bases: catching any of them catches it
-DOMAIN_CATCHERS = {"DomainError", "ParityError", "ValueError", "Exception",
-                   "BaseException"}
+# DomainError and its bases: catching any of them catches it
+DOMAIN_CATCHERS = {"DomainError", "ValueError", "Exception", "BaseException"}
 
 
 def test_no_engine_path_catches_a_domain_error():

@@ -97,11 +97,13 @@ def test_divisors_do_not_concatenate_or_repeat():
 
 
 def test_check_result_is_mutable_and_counts():
-    result = CheckResult("synthetic", checked=2)
+    result = CheckResult("synthetic")
     assert (result.name, result.checked, result.failures, result.ok) == (
-        "synthetic", 2, [], True)
+        "synthetic", 0, [], False)
     result.count()
+    result.count()
+    assert (result.checked, result.failures, result.ok) == (2, [], True)
     result.fail("case")
-    assert (result.checked, result.failures, result.ok) == (3, ["case"], False)
+    assert (result.checked, result.failures, result.ok) == (2, ["case"], False)
     assert not CheckResult("empty").ok
     assert CheckResult("a").failures is not CheckResult("b").failures
