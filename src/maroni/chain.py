@@ -6,8 +6,9 @@ line-bundle model is a chain of smooth rational curves R_0, ..., R_m
 self-intersection -1 joined by m - 1 exceptional (-2)-curves, consecutive
 components meeting once.  A distinguished section S meets R_m only.
 
-A divisor supported on the chain is its coefficient vector (e_0, ..., e_m).
-For D = sum e_i R_i the pairing satisfies the closed form
+A divisor supported on the chain is its coefficient vector (e_0, ..., e_m);
+a twist divisor -sum_{i<m} v_i R_i, such as A or the branch class, is
+``divisor_vector(v)``.  For D = sum e_i R_i the pairing satisfies
 D.D = -sum_{i=1}^m (e_{i-1} - e_i)^2, the full fibre F = sum R_i is
 numerically trivial, and the relative dualizing class theta pairs as
 theta.D = -e_0 - e_m.
@@ -80,6 +81,11 @@ def component_degrees(e) -> tuple:
     return (e[1] - e[0], *inner, e[m - 1] - e[m])
 
 
+def divisor_vector(v) -> list[int]:
+    """The coefficient vector (-v_0, ..., -v_{m-1}, 0) of -sum_{i<m} v_i R_i."""
+    return [-x for x in v] + [0]
+
+
 class StandardA(NamedTuple):
     """The standard fibre-supported twist divisor A of a boundary type.
 
@@ -125,7 +131,7 @@ def a_standard(bt: BoundaryType) -> StandardA:
                 f"non-integral chain coefficient at i={i} for type {bt}"
             )
         alpha.append(num // 2)
-    degrees = component_degrees([-a for a in alpha] + [0])
+    degrees = component_degrees(divisor_vector(alpha))
     if degrees != expected_twist_degrees(bt):
         raise InvariantError(f"restriction degrees of A are off for {bt}")
     return StandardA(tuple(alpha), degrees)

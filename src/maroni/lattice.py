@@ -64,7 +64,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import StandardA, a_standard, intersect
+from .chain import StandardA, a_standard, divisor_vector, intersect
 from .combinatorics import BoundaryType
 from .errors import DomainError, InvariantError
 # perfbench/tracer.py traces the nodal check and functional as lattice names
@@ -100,9 +100,9 @@ class RoundedPoint(NamedTuple):
 class CorrectionResult(NamedTuple):
     """The amount ``delta`` subtracted from the standard coefficient at one type.
 
-    Integers over ``scale`` = 8(d-1)k: delta, the critical value f_max and
-    the functional's value at ``point``, with the A and twist form used;
-    ``delta`` is the one ``Fraction`` view.
+    ``delta_num`` is delta as an integer over ``scale`` = 8(d-1)k, kept with
+    the ``point``, A and twist form it was built from; ``delta`` is its one
+    ``Fraction`` view.
     """
 
     point: RoundedPoint
@@ -110,8 +110,6 @@ class CorrectionResult(NamedTuple):
     quad: ChainQuadratic
     scale: int
     delta_num: int
-    fmax_num: int
-    value_num: int
 
     delta = property(lambda self: Fraction(self.delta_num, self.scale))
 
@@ -156,11 +154,6 @@ def round_chain(targets, explore_ties: bool = False, *, den: int) -> RoundedPoin
 # single twist (line bundle N only)
 
 
-def _a_coeffs(bt: BoundaryType) -> list[int]:
-    """The coefficients of A = -sum_{i<m} alpha_i R_i on R_0..R_m."""
-    return [-a for a in a_standard(bt).alpha] + [0]
-
-
 def f_twist(bt: BoundaryType, n) -> Fraction:
     """The coefficient change f(N) = N.A + ((d-1)/2)(N.N - N.theta).
 
@@ -169,9 +162,8 @@ def f_twist(bt: BoundaryType, n) -> Fraction:
     not change the value, and theta.N = -n_0.  Evaluated from the matrix
     pairing, as the reference for ``twist_quadratic`` at X = 0.
     """
-    n = [e - n[-1] for e in n]
-    return intersect(n, _a_coeffs(bt)) + Fraction(bt.d - 1, 2) * (
-        intersect(n, n) + n[0])
+    n, a = [e - n[-1] for e in n], divisor_vector(a_standard(bt).alpha)
+    return intersect(n, a) + Fraction(bt.d - 1, 2) * (intersect(n, n) + n[0])
 
 
 def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
@@ -216,8 +208,7 @@ def _correction(bt, point, std, quad) -> CorrectionResult:
     s, scale = point.scaled_sum_sq, 8 * (d - 1) * k
     states = twist_states(d, point.alpha, point.xi)
     f_num = 4 * k * quad.value(states)
-    fmax_num = f_num + s + defect
-    if fmax_num != closed:
+    if f_num + s + defect != closed:
         raise InvariantError(f"rounded {label} value mismatch at {bt}")
     if min(g - alpha for (_, g), alpha in zip(states, std.alpha)) < 0:
         raise InvariantError(f"A + G of the {label} not effective at {bt}")
@@ -226,7 +217,7 @@ def _correction(bt, point, std, quad) -> CorrectionResult:
     delta_num = f_num - (m * bt.c * scale // 2 if bt.c > 0 else 0)  # f + f_A
     if delta_num < 0:
         raise InvariantError(f"negative {label} {Fraction(delta_num, scale)} at {bt}")
-    return CorrectionResult(point, std, quad, scale, delta_num, fmax_num, f_num)
+    return CorrectionResult(point, std, quad, scale, delta_num)
 
 
 def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
@@ -295,13 +286,12 @@ def joint_f_value(bt: BoundaryType, nvec, xvec) -> Fraction:
     branch class (l sections through R_0 plus the exceptional part) pairs
     like W = -sum_i chain_nums(l)_i R_i.
     """
-    d = bt.d
-    x = [*xvec, 0]
+    d, x = bt.d, [*xvec, 0]
     g = [(d - 1) * n - e for n, e in zip([*nvec, 0], x)]
-    w = [-e for e in bt.chain_nums(bt.l)] + [0]
+    w, a = divisor_vector(bt.chain_nums(bt.l)), divisor_vector(a_standard(bt).alpha)
     return Fraction(1, 2 * (d - 1)) * (
         (d - 2) * intersect(x, x) + intersect(w, x) + intersect(g, g)
-        + (d - 1) * g[0] + 2 * intersect(g, _a_coeffs(bt)))
+        + (d - 1) * g[0] + 2 * intersect(g, a))
 
 
 def joint_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:

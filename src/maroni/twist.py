@@ -28,8 +28,9 @@ import itertools
 from math import isqrt
 from typing import NamedTuple
 
-from .chain import component_degrees
+from .chain import component_degrees, divisor_vector
 from .combinatorics import BoundaryType
+from .errors import DomainError
 
 
 class ChainQuadratic(NamedTuple):
@@ -48,17 +49,21 @@ class ChainQuadratic(NamedTuple):
         return sum(p * x + q * g - w0 * (x - xn) ** 2 - w1 * (g - gn) ** 2
                    for (p, q), (x, g), (xn, gn) in zip(self.linear, states, states[1:]))
 
-    def edge_bound(self, mod: int, free_x: bool = True) -> int:
+    def edge_bound(self, mod: int, free_x: bool) -> int:
         """The sum of per-edge maxima over states with x + g = 0 mod ``mod``.
 
         Tries u with (2 w0 u - P)^2 <= w0^2 + w0 w1 mod^2, or u = 0 unless
-        ``free_x`` (module docstring).  With f = 3 g_0 - (g_0 - g_1)^2 - g_1^2
+        ``free_x`` (module docstring).  ``mod`` and w1 must be >= 1, and w0
+        too with ``free_x`` (else >= 0).  With f = 3 g_0 - (g_0 - g_1)^2 - g_1^2
         on a two-node chain, mod 1, the maximum is 4, at (2, 1):
 
         >>> ChainQuadratic(((0, 3), (0, 0)), weights=(0, 1)).edge_bound(1, False)
         4
         """
         (w0, w1), bound, big_p, big_q = self.weights, 0, 0, 0
+        for name, got, least in ("mod", mod, 1), ("w1", w1, 1), ("w0", w0, int(free_x)):
+            if got < least:
+                raise DomainError(f"edge bound needs {name} >= {least}, got {got}")
         reach, step = isqrt(w0 * w0 + w0 * w1 * mod * mod), 2 * w1 * mod
         for p, q in self.linear:
             big_p, big_q = big_p + p, big_q + q
@@ -85,7 +90,7 @@ def twist_quadratic(bt: BoundaryType, degrees, xs=None) -> ChainQuadratic:
     """
     d, q_col = bt.d, [2 * a for a in degrees[:-1]]
     q_col[0] += d - 1
-    w_col = component_degrees([-x for x in xs] + [0]) if xs else itertools.repeat(0)
+    w_col = component_degrees(divisor_vector(xs)) if xs else itertools.repeat(0)
     return ChainQuadratic(tuple(zip(w_col, q_col)), weights=(d - 2, 1))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import formulas, lattice
-from .chain import component_degrees, pairing
+from .chain import component_degrees, divisor_vector, pairing
 from .combinatorics import (
     HurwitzParams,
     Partition,
@@ -163,21 +163,19 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
             corr1_id.count()
             if corr1 != st - res1.delta:
                 corr1_id.fail(str(bt))
-            # _correction already raises on either (exit 3, naming the type),
-            # so this line can fail only if that check is weakened
-            nonneg.count()
-            pt = res1.point
-            if res1.delta_num < 0 or bt.m * pt.den**2 < 4 * pt.scaled_sum_sq:
-                nonneg.fail(f"single twist at {bt}")
             res2 = lattice.correction_ln(bt) if bt.mu.has_unit_part else None
             if res2 is not None:
                 corr2_id.count()
                 if formulas.sigma_corr2(bt) != st - res2.delta:
                     corr2_id.fail(str(bt))
-                nonneg.count()
-                pt = res2.point
-                if res2.delta_num < 0 or bt.m * pt.den**2 < 4 * pt.scaled_sum_sq:
-                    nonneg.fail(f"joint twist at {bt}")
+            # _correction already raises on either (exit 3, naming the type),
+            # so this line can fail only if that check is weakened
+            for twist, res in (("single", res1), ("joint", res2)):
+                if res is not None:
+                    nonneg.count()
+                    pt = res.point
+                    if res.delta_num < 0 or bt.m * pt.den**2 < 4 * pt.scaled_sum_sq:
+                        nonneg.fail(f"{twist} twist at {bt}")
 
             flip = bt.flipped()
             symmetry.count()
@@ -197,7 +195,7 @@ def run_identity_suite(max_d: int = 6, max_g: int = 20,
 
             degrees.count()
             std = res1.std  # a_standard raised InvariantError on any defect
-            m, coeffs = bt.m, [-a for a in std.alpha] + [0]
+            m, coeffs = bt.m, divisor_vector(std.alpha)
             if any(sum(coeffs[t] * pairing(m, t, i)
                        for t in range(max(i - 1, 0), min(i + 1, m) + 1)) != deg
                    for i, deg in enumerate(std.degrees)):

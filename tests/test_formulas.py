@@ -124,6 +124,20 @@ def test_lambda_coefficient():
     assert lambda_coeff(bt) == Fraction((g1 + 2) * (g - g1), 2 * (2 * g + 3))
 
 
+def test_sigma_st_is_its_fibre_term_plus_psi_minus_lambda():
+    # sigma_st = m (c^2/(8(d-1)) - |c|/4) + (2d-3)/(8(d-1)) psi - lambda ties
+    # the Hodge and psi coefficients to the standard class; the verify
+    # symmetry check sees neither off by a term symmetric in j <-> b - j
+    checked = 0
+    for bt in small_types(max_d=12, ks=(1, 2, 3)):
+        d, m, c = bt.d, bt.m, bt.c
+        fibre = m * (Fraction(c * c, 8 * (d - 1)) - Fraction(abs(c), 4))
+        psi = Fraction(2 * d - 3, 8 * (d - 1)) * psi_coeff(bt)
+        assert sigma_st(bt) == fibre + psi - lambda_coeff(bt), bt
+        checked += 1
+    assert checked == 10296
+
+
 def test_lambda_one_fraction_matches_display():
     # the one-Fraction lambda against the display
     # m (j(b-j)/(8(b-1)) - (d - sum 1/m_nu)/12); the verify symmetry check

@@ -9,7 +9,8 @@
    and each correction builds A once.  Whether the joint twist applies is
    asked of the type: no engine path catches ``DomainError`` (nor a base
    class), which only ``cli`` turns into exit 2.  The chain vector
-   (m - i) x - delta_i has one builder, ``BoundaryType.chain_nums``.
+   (m - i) x - delta_i has one builder, ``BoundaryType.chain_nums``, and the
+   twist divisor (-v_0, ..., -v_{m-1}, 0) one, ``chain.divisor_vector``.
    ``chain`` and ``lattice`` build a ``Fraction`` only in the references,
    the two ``Fraction`` views and one error message, so no ``Fraction``
    divisor layer returns to the engine.
@@ -47,6 +48,8 @@
 12. ``verify`` takes no option that adds work without cause: its options
     are pinned, and the retired ``--radius``, whose every value the edge
     bound settles, is argparse's usage error.
+13. Every field of every named-tuple record in ``src/maroni`` is read by
+    name somewhere in ``src/maroni``: a field nothing reads is dead weight.
 """
 
 import argparse
@@ -204,16 +207,73 @@ def _builds_chain_vector(node):
                     for f in (product.left, product.right)))
 
 
+def _builders(builds):
+    """(file, function) per function of src/maroni with a node ``builds`` accepts."""
+    found = set()
+    for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(map(builds, ast.walk(node))):
+                found.add((path.name, node.name))
+    return found
+
+
 def test_only_chain_nums_builds_the_chain_vector():
     # A (x = c), the single critical twist (x = a) and the branch numerators
     # (x = l) all read BoundaryType.chain_nums
-    builders = set()
+    assert _builders(_builds_chain_vector) == {("combinatorics.py", "chain_nums")}
+
+
+def _negated(node):
+    """Whether node is a comprehension of negated entries, [-v for v in ...]."""
+    return (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+            and isinstance(node.elt, ast.UnaryOp) and isinstance(node.elt.op, ast.USub))
+
+
+def _zero_padded(node):
+    """Whether node is a list or tuple display whose last entry is 0."""
+    return (isinstance(node, (ast.List, ast.Tuple)) and bool(node.elts)
+            and isinstance(node.elts[-1], ast.Constant) and node.elts[-1].value == 0)
+
+
+def _builds_divisor_vector(node):
+    """Whether node is [-v for v in ...] + [0] or [*(-v for v in ...), 0]."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _negated(node.left) and _zero_padded(node.right)
+    return _zero_padded(node) and any(
+        isinstance(e, ast.Starred) and _negated(e.value) for e in node.elts)
+
+
+def test_only_divisor_vector_negates_and_pads_the_chain_vector():
+    # A from alpha (a_standard, the references, the verify degree check) and
+    # the branch class from chain_nums(l) (twist_quadratic, joint_f_value)
+    assert _builders(_builds_divisor_vector) == {("chain.py", "divisor_vector")}
+
+
+def _record_fields(tree):
+    """(record, field) per field of each named tuple a module defines: a
+    ``NamedTuple`` class body or a ``namedtuple("Name", "f g")`` base."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in node.bases:
+            if getattr(base, "id", None) == "NamedTuple":
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign):
+                        yield node.name, item.target.id
+            elif isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+                for field in base.args[1].value.replace(",", " ").split():
+                    yield node.name, field
+
+
+def test_every_record_field_is_read_by_name():
+    fields, reads = set(), set()
     for path in sorted((ROOT / "src" / "maroni").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and any(
-                    map(_builds_chain_vector, ast.walk(node))):
-                builders.add((path.name, node.name))
-    assert builders == {("combinatorics.py", "chain_nums")}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fields.update(_record_fields(tree))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert {(record, field) for record, field in fields if field not in reads} == set()
+    assert len(fields) == 31  # the scan sees every record
 
 
 # where chain.py and lattice.py may build a Fraction: the matrix-pairing
@@ -300,7 +360,7 @@ def test_reference_pairings_stay_exact_on_integers():
     for bt in _small_types():
         nvec, xvec = list(range(1 - bt.m, 1)), list(range(bt.m))
         std = chain.a_standard(bt)
-        n_int, a_int = [*nvec, 0], [-a for a in std.alpha] + [0]
+        n_int, a_int = [*nvec, 0], chain.divisor_vector(std.alpha)
         n_div, a_div = fibral(bt.m, n_int), standard_divisor(std)
         divisors = [n_div, a_div, add(n_div, a_div), n_div - a_div,
                     n_div.scaled(-1), n_div.scaled(2), full_fibre(bt.m),

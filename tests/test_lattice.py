@@ -62,9 +62,17 @@ def round_fractions(targets, explore_ties=False):
     return round_chain(nums, explore_ties, den=den)
 
 
-def fmax_and_value(res):
-    """f_max and the functional's value of a correction, as Fractions."""
-    return Fraction(res.fmax_num, res.scale), Fraction(res.value_num, res.scale)
+def fmax_and_value(bt, res):
+    """f_max and the functional's value of a correction at bt, as Fractions.
+
+    Over the scale 8(d-1)k the value is delta minus the fibre term f_A, and
+    f_max adds S = den^2 sum_sq and the defect, m(d-1)k for the joint twist
+    (a point with xi) and 0 for the single one.
+    """
+    value = res.delta_num + (bt.m * bt.c * res.scale // 2 if bt.c > 0 else 0)
+    defect = 0 if res.point.xi is None else bt.m * res.scale // 8
+    fmax = value + res.point.scaled_sum_sq + defect
+    return Fraction(fmax, res.scale), Fraction(value, res.scale)
 
 
 def residuals(point):
@@ -301,8 +309,9 @@ def test_correction_table_anchors():
 
 
 def test_correction_components():
-    res = correction_n(bt_of(4, 3, 5, (4,)))
-    assert fmax_and_value(res) == (Fraction(7, 2), 3)  # delta = 3 - mc/2 = 3 - 2
+    bt = bt_of(4, 3, 5, (4,))
+    res = correction_n(bt)
+    assert fmax_and_value(bt, res) == (Fraction(7, 2), 3)  # delta = 3 - mc/2 = 3 - 2
     assert res.point.sum_sq == Fraction(1, 3)
 
 
@@ -443,7 +452,7 @@ def test_edge_bound_is_at_least_every_box_maximum():
                 continue
             joint += 1
             quad, best, boxes = _joint_boxes(bt)
-            bound = quad.edge_bound(d - 1)
+            bound = quad.edge_bound(d - 1, free_x=True)
             assert bound >= best
             for radius in range(3):
                 assert bound >= box_max(quad, boxes(radius)) >= best
@@ -469,7 +478,7 @@ def test_edge_bound_settles_every_lattice_suite_case():
             if bt.mu.has_unit_part:
                 pt, quad = joint_round(bt), joint_quadratic(bt)
                 states = twist_states(d, pt.alpha, pt.xi)
-                assert quad.value(states) == quad.edge_bound(d - 1), bt
+                assert quad.value(states) == quad.edge_bound(d - 1, free_x=True), bt
                 joint += 1
     assert (single, joint) == (1631, 1266)
 
@@ -487,9 +496,23 @@ def test_edge_bound_is_the_exact_maximum_of_one_edge():
         quad = twist.ChainQuadratic(((p, q),), (w0, w1))
         box = [(x, g) for x, g in itertools.product(range(-16, 17), repeat=2)
                if (x + g) % mod == 0]
-        assert quad.edge_bound(mod) == max(quad.value([s]) for s in box)
+        assert quad.edge_bound(mod, free_x=True) == max(quad.value([s]) for s in box)
         assert quad.edge_bound(mod, free_x=False) == max(
             quad.value([s]) for s in box if s[0] == 0)
+
+
+def test_edge_bound_rejects_a_zero_modulus_or_weight():
+    # the bound divides by mod and w1, and by w0 when x is free; each zero
+    # is a DomainError naming it, not a ZeroDivisionError
+    two_nodes = ((0, 3), (0, 0))
+    for weights, mod, free_x, bad in (((1, 1), 0, False, "mod >= 1, got 0"),
+                                      ((1, 0), 1, False, "w1 >= 1, got 0"),
+                                      ((0, 1), 1, True, "w0 >= 1, got 0")):
+        with pytest.raises(DomainError, match=re.escape(f"edge bound needs {bad}")):
+            twist.ChainQuadratic(two_nodes, weights).edge_bound(mod, free_x)
+    assert twist.ChainQuadratic(two_nodes, (0, 1)).edge_bound(1, False) == 4
+    with pytest.raises(TypeError):  # free_x has no default
+        twist.ChainQuadratic(two_nodes, (1, 1)).edge_bound(1)
 
 
 def _verify_all_lattice_types():
@@ -626,7 +649,7 @@ def test_edge_bound_tries_few_candidates_over_the_joint_range(monkeypatch):
             for bt in enumerate_boundary_types(HurwitzParams(d, (d - 1) * k)):
                 if bt.m > LATTICE_MAX_LCM or not bt.mu.has_unit_part:
                     continue
-                joint_quadratic(bt).edge_bound(bt.d - 1)
+                joint_quadratic(bt).edge_bound(bt.d - 1, free_x=True)
                 types, edges = types + 1, edges + bt.m
                 assert len(windows) == edges  # one window per edge
     sizes = [len(w) for w in windows]
@@ -732,7 +755,7 @@ def test_joint_value_matches_closed_form():
         nvec = [Fraction(gi + xi, bt.d - 1) for gi, xi in zip(g, x)]
         assert joint_f_value(bt, nvec, x) == oracle_fmax_ln(bt)
         res = correction_ln(bt)
-        assert fmax_and_value(res)[1] == (
+        assert fmax_and_value(bt, res)[1] == (
             oracle_fmax_ln(bt) + ferr_ln(bt, res.point.sum_sq))
 
 
@@ -802,7 +825,7 @@ def _assert_built_from_its_parts(res, bt, xs, k):
     quad = twist_quadratic(bt, std.degrees, xs)
     assert (res.std, res.quad, res.scale) == (std, quad, 8 * (bt.d - 1) * k)
     states = twist_states(bt.d, res.point.alpha, res.point.xi)
-    assert fmax_and_value(res)[1] == Fraction(quad.value(states), 2 * (bt.d - 1))
+    assert fmax_and_value(bt, res)[1] == Fraction(quad.value(states), 2 * (bt.d - 1))
     assert type(res.delta) is Fraction
 
 
@@ -818,7 +841,7 @@ def test_integer_corrections_match_fraction_expressions(bt):
     sum_sq = oracle_round(oracle_critical_n(bt)).sum_sq
     value = fmax - Fraction(bt.d - 1, 2) * sum_sq
     res = correction_n(bt)
-    assert (res.delta, *fmax_and_value(res), res.point.sum_sq) == (
+    assert (res.delta, *fmax_and_value(bt, res), res.point.sum_sq) == (
         value + fibre, fmax, value, sum_sq)
     _assert_built_from_its_parts(res, bt, None, 1)
     assert single_round(bt, explore_ties=True) == res.point
@@ -833,7 +856,7 @@ def test_integer_corrections_match_fraction_expressions(bt):
     fmax = oracle_fmax_ln(bt)
     value = fmax + ferr_ln(bt, joint.sum_sq)
     res = correction_ln(bt)
-    assert (res.delta, *fmax_and_value(res), res.point.sum_sq) == (
+    assert (res.delta, *fmax_and_value(bt, res), res.point.sum_sq) == (
         value + fibre, fmax, value, joint.sum_sq)
     _assert_built_from_its_parts(res, bt, bt.chain_nums(bt.l),
                                  (bt.d - 1) * (bt.d - 2))
