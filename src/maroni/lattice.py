@@ -61,6 +61,7 @@ there; only the ``delta`` view is a Fraction.  The references
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,7 +70,7 @@ from .combinatorics import BoundaryType
 from .errors import DomainError, InvariantError
 # perfbench/tracer.py traces the nodal check and functional as lattice names
 from .nodal import nodal_f1, verify_trigonal_nodal_max
-from .twist import ChainQuadratic, twist_quadratic, twist_states
+from .twist import twist_quadratic, twist_states
 
 
 class RoundedPoint(NamedTuple):
@@ -101,13 +102,12 @@ class CorrectionResult(NamedTuple):
     """The amount ``delta`` subtracted from the standard coefficient at one type.
 
     ``delta_num`` is delta as an integer over ``scale`` = 8(d-1)k, kept with
-    the ``point``, A and twist form it was built from; ``delta`` is its one
-    ``Fraction`` view.
+    the ``point`` and A it was built from; ``delta`` is its one ``Fraction``
+    view.
     """
 
     point: RoundedPoint
     std: StandardA
-    quad: ChainQuadratic
     scale: int
     delta_num: int
 
@@ -174,25 +174,30 @@ def single_round(bt: BoundaryType, explore_ties: bool = False) -> RoundedPoint:
         raise InvariantError(f"{err} at {bt}") from err
 
 
-def _parts(bt: BoundaryType, point: RoundedPoint, xs=None):
-    """A rounded point with its A and twist form (xs: ``chain_nums(l)``)."""
-    std = a_standard(bt)
-    return point, std, twist_quadratic(bt, std.degrees, xs)
-
-
 def correction_n(bt: BoundaryType) -> CorrectionResult:
     """The reduction of the standard coefficient by the best single twist.
 
     delta = f(alpha) + (f_A - f_{A+(d-1)N}); the second term is -mc/2 when
     c > 0 and 0 otherwise.  ``_correction`` checks it with k = 1, X = 0.
     """
-    return _correction(bt, *_parts(bt, single_round(bt)))
+    point, std, value, _ = _twist(bt, False)
+    return _correction(bt, point, std, value)
 
 
-def _correction(bt, point, std, quad) -> CorrectionResult:
+def _twist(bt: BoundaryType, joint: bool):
+    """A twist's rounded point, its A, its twist form's value 2(d-1) f there
+    and the form."""
+    point = joint_round(bt) if joint else single_round(bt)
+    std = a_standard(bt)
+    quad = twist_quadratic(bt, std.degrees, bt.chain_nums(bt.l) if joint else None)
+    return point, std, quad.value(twist_states(bt.d, point.alpha, point.xi)), quad
+
+
+def _correction(bt, point, std, value) -> CorrectionResult:
     """The correction f + f_A at a rounded point, over the scale 8(d-1)k.
 
-    A point with xi is the joint twist: k = (d-1)(d-2), defect m(d-1)k.
+    ``value`` is the twist form's value there.  A point with xi is the joint
+    twist: k = (d-1)(d-2), defect m(d-1)k.
     8(d-1)k f_max = 4k value + S + defect is checked (module docstring),
     then A + G >= 0 (g_i >= alpha_i of A; its R_m coefficient is 0, so no
     fibre part is left), the residual bound m/4 >= sum_sq and delta >= 0.
@@ -206,10 +211,10 @@ def _correction(bt, point, std, quad) -> CorrectionResult:
         defect, label = m * (d - 1) * k, "joint correction"
         closed = (d - 1) * (m * (bt.l ** 2 + (d - 2) * a * a) + (d - 1) * steps)
     s, scale = point.scaled_sum_sq, 8 * (d - 1) * k
-    states = twist_states(d, point.alpha, point.xi)
-    f_num = 4 * k * quad.value(states)
+    f_num = 4 * k * value
     if f_num + s + defect != closed:
         raise InvariantError(f"rounded {label} value mismatch at {bt}")
+    states = twist_states(d, point.alpha, point.xi)
     if min(g - alpha for (_, g), alpha in zip(states, std.alpha)) < 0:
         raise InvariantError(f"A + G of the {label} not effective at {bt}")
     if m * point.den**2 < 4 * s:
@@ -217,42 +222,34 @@ def _correction(bt, point, std, quad) -> CorrectionResult:
     delta_num = f_num - (m * bt.c * scale // 2 if bt.c > 0 else 0)  # f + f_A
     if delta_num < 0:
         raise InvariantError(f"negative {label} {Fraction(delta_num, scale)} at {bt}")
-    return CorrectionResult(point, std, quad, scale, delta_num)
+    return CorrectionResult(point, std, scale, delta_num)
 
 
-def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
-    """Check that the rounded point maximizes f within the radius box.
+def twist_certificate(bt: BoundaryType, joint: bool, radius: int) -> tuple[int, int]:
+    """A twist's form value 2(d-1) f at its rounded point and the edge bound.
 
-    True if its twist form value 2(d-1) f reaches the edge bound, the exact
-    global maximum, which proves the claim for every radius (then checked
-    as ``correction_n``); False if it stays below.
+    The bound is the exact maximum over the whole lattice, so ``radius``
+    only names the claim and must be >= 0.  A value above the bound means
+    a wrong bound, an invariant failure.  A value below it is not
+    certified and builds no correction; a certified maximum is then
+    checked as its correction, whose checks hold only at the maximum.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    return _is_certified_max(bt, *_parts(bt, single_round(bt)))
-
-
-def twist_certificate(bt: BoundaryType, point: RoundedPoint,
-                      quad: ChainQuadratic) -> tuple[int, int]:
-    """The point's twist form value 2(d-1) f and the edge bound it must reach."""
-    return (quad.value(twist_states(bt.d, point.alpha, point.xi)),
-            quad.edge_bound(bt.d - 1, point.xi is not None))
-
-
-def _is_certified_max(bt, point, std, quad) -> bool:
-    """Whether the point's twist form value reaches the edge bound.  A value
-    above the bound means a wrong bound, an invariant failure; one below it
-    is not certified.  A certified maximum is then checked as its correction;
-    those checks hold only at the rounded point, so an uncertified point is
-    reported first."""
-    best, bound = twist_certificate(bt, point, quad)
-    if best > bound:
-        raise InvariantError(f"twist form value {best} above its edge bound "
+    point, std, value, quad = _twist(bt, joint)
+    bound = quad.edge_bound(bt.d - 1, joint)
+    if value > bound:
+        raise InvariantError(f"twist form value {value} above its edge bound "
                              f"{bound} at {bt}")
-    if best < bound:
-        return False
-    _correction(bt, point, std, quad)
-    return True
+    if value == bound:
+        _correction(bt, point, std, value)
+    return value, bound
+
+
+def verify_integer_max(bt: BoundaryType, radius: int = 3) -> bool:
+    """Whether the rounded point maximizes f: its twist form value reaches
+    the edge bound (``twist_certificate``), then checked as ``correction_n``."""
+    return operator.eq(*twist_certificate(bt, False, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +333,13 @@ def correction_ln(bt: BoundaryType) -> CorrectionResult:
     checks it with k = (d-1)(d-2) and defect m(d-1)k, and A + G = A +
     (d-1)N - X.
     """
-    return _correction(bt, *_parts(bt, joint_round(bt), bt.chain_nums(bt.l)))
+    point, std, value, _ = _twist(bt, True)
+    return _correction(bt, point, std, value)
 
 
 def verify_joint_max(bt: BoundaryType, radius: int = 3) -> bool:
-    """Check that (alpha, xi) maximizes the joint twist within the radius box.
-
-    True if the point's value reaches the edge bound, which drops xi >= 0,
-    so no integer move of both coordinate blocks, at any radius, is larger
-    (then checked as ``correction_ln``); False if it stays below.
-    """
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-    return _is_certified_max(bt, *_parts(bt, joint_round(bt), bt.chain_nums(bt.l)))
+    """Whether (alpha, xi) maximizes the joint twist: its value reaches the
+    edge bound, which drops xi >= 0, so no integer move of both coordinate
+    blocks is larger (``twist_certificate``), then checked as
+    ``correction_ln``."""
+    return operator.eq(*twist_certificate(bt, True, radius))

@@ -230,9 +230,10 @@ def run_we_square_check() -> CheckResult:
     return result
 
 
-def _missed(bt, res: lattice.CorrectionResult) -> str:
-    """A failed integer-maximum line: the type, its value and its bound."""
-    value, bound = lattice.twist_certificate(bt, res.point, res.quad)
+def _missed(bt, joint: bool, radius: int) -> str:
+    """A failed integer-maximum line: the type, its value and its bound, read
+    from its certificate, which builds no correction at a missed maximum."""
+    value, bound = lattice.twist_certificate(bt, joint, radius)
     return f"{bt}: twist form value {value} below its edge bound {bound}"
 
 
@@ -253,16 +254,16 @@ def run_lattice_suite(max_d: int = 5, radius: int = 3) -> list[CheckResult]:
                 if bt.m > LATTICE_MAX_LCM:
                     continue
                 # each oracle checks effectivity (raising) at a maximum it
-                # finds; a missed one is checked by its correction
+                # certifies; a missed one fails its line
                 single.count()
                 effective.count()
                 if not lattice.verify_integer_max(bt, radius):
-                    single.fail(_missed(bt, lattice.correction_n(bt)))
+                    single.fail(_missed(bt, False, radius))
                 if bt.mu.has_unit_part:
                     joint.count()
                     effective.count()
                     if not lattice.verify_joint_max(bt, radius):
-                        joint.fail(_missed(bt, lattice.correction_ln(bt)))
+                        joint.fail(_missed(bt, True, radius))
                 if d == 3 and bt.mu.parts == (1, 1, 1):
                     nodal.count()
                     if not lattice.verify_trigonal_nodal_max(bt, radius):

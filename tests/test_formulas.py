@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -204,16 +205,24 @@ def test_sigma_min_provenance():
 
 def test_sigma_min_is_the_first_least_candidate():
     # the least of st, corr1 and (with a part equal to 1) corr2, and on a
-    # tie the first of them in that order
-    ties = 0
-    for bt in small_types():
+    # tie the first of them in that order.  The provenance follows a rule
+    # that needs no comparison: corr2 exactly when the partition has a part
+    # 1; otherwise st when the single-twist delta is 0, and corr1 if not
+    ties, tags = 0, Counter()
+    for bt in small_types(max_d=8):
         candidates = [(sigma_st(bt), "st"), (sigma_corr1(bt), "corr1")]
         if bt.mu.has_unit_part:
             candidates.append((sigma_corr2(bt), "corr2"))
         least = min(value for value, _ in candidates)
-        assert sigma_min(bt) == next(c for c in candidates if c[0] == least)
+        got, tag = sigma_min(bt)
+        assert (got, tag) == next(c for c in candidates if c[0] == least)
         ties += sum(value == least for value, _ in candidates) > 1
+        rule = ("corr2" if bt.mu.has_unit_part
+                else "st" if correction_n(bt).delta == 0 else "corr1")
+        assert tag == rule, bt
+        tags[tag] += 1
     assert ties > 0
+    assert tags == {"st": 105, "corr2": 558, "corr1": 149}
 
 
 @st.composite
@@ -260,13 +269,18 @@ def test_step_histogram_gives_the_residuals_and_the_single_delta():
 def test_edge_terms_pair_to_multiples_of_eight_d_minus_one():
     # tau(s) + tau(-s) for s = c mod 2, and tau(0) for even c, over one
     # period of s at every reachable c: with the mirrored steps of delta
-    # this makes delta_n an integer for every partition and genus
-    cases = 0
+    # this makes delta_n an integer for every partition and genus.  Every
+    # case is also >= 0, so delta_n >= 0 for every type and genus at these
+    # degrees; past s = d-1 a pair is >= 2 s^2 - 2 (d-1)^2 >= 0 anyway,
+    # since each centred residual is at most d-1 in size
+    cases = positive = 0
     for d in range(3, 31):
         for c, s, value in row_oracle.tau_pairs(d):
             cases += 1
             assert value % (8 * (d - 1)) == 0, (d, c, s, value)
-    assert cases == 51_100
+            assert value >= 0, (d, c, s, value)
+            positive += value > 0
+    assert (cases, positive) == (51_100, 42_987)
 
 
 def test_delta_steps_are_antisymmetric_with_the_parity_of_d_minus_n():

@@ -273,7 +273,7 @@ def test_every_record_field_is_read_by_name():
         reads.update(node.attr for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     assert {(record, field) for record, field in fields if field not in reads} == set()
-    assert len(fields) == 31  # the scan sees every record
+    assert len(fields) == 30  # the scan sees every record
 
 
 # where chain.py and lattice.py may build a Fraction: the matrix-pairing

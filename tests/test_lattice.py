@@ -578,22 +578,48 @@ def _lowering_move(quad, d, alpha, xi=None):
     raise AssertionError("no lowering move")
 
 
-def test_oracles_reject_a_point_moved_below_the_maximum(monkeypatch):
+def _moved_below(pt, quad, d):
+    """The point moved by ``_lowering_move``, its scaled residuals E_i =
+    alpha_i den - N_i moved along, so that the moved point is consistent."""
+    alpha = _lowering_move(quad, d, pt.alpha, pt.xi)
+    scaled = tuple(e + (b - a) * pt.den for e, a, b in zip(pt.scaled, pt.alpha, alpha))
+    return pt._replace(alpha=alpha, scaled=scaled)
+
+
+def test_oracles_reject_a_point_moved_below_the_maximum(monkeypatch, capsys):
     # some +-1 moves reach other maximizers, so each case moves the point
     # by a step that lowers its value: the bound is missed and the point is
-    # not certified
-    single, joint = lattice.single_round, lattice.joint_round
-    for bt in _verify_all_lattice_types():
-        pt = single(bt)
-        moved = pt._replace(alpha=_lowering_move(single_quadratic(bt), bt.d, pt.alpha))
-        monkeypatch.setattr(lattice, "single_round", lambda bt: moved)
-        assert not verify_integer_max(bt, 1)
-        if bt.mu.has_unit_part:
-            pt = joint(bt)
-            moved = pt._replace(alpha=_lowering_move(
-                joint_quadratic(bt), bt.d, pt.alpha, pt.xi))
-            monkeypatch.setattr(lattice, "joint_round", lambda bt: moved)
-            assert not verify_joint_max(bt, 1)
+    # not certified.  verify's line for that twist then fails with exit 1,
+    # one line per case naming the moved value and the bound, and builds no
+    # correction at the moved point (its checks would exit 3 there)
+    from maroni.cli import main
+
+    for name, label, cases in (("single_round", "single", 110),
+                               ("joint_round", "joint", 74)):
+        joint, rounding = label == "joint", getattr(lattice, name)
+        oracle = verify_joint_max if joint else verify_integer_max
+        quad_of = joint_quadratic if joint else single_quadratic
+        moved, expected = {}, []
+        for bt in _verify_all_lattice_types():
+            if joint and not bt.mu.has_unit_part:
+                continue
+            quad = quad_of(bt)
+            moved[bt] = pt = _moved_below(rounding(bt), quad, bt.d)
+            value = quad.value(twist_states(bt.d, pt.alpha, pt.xi))
+            expected.append(f"       {bt}: twist form value {value} below its "
+                            f"edge bound {quad.edge_bound(bt.d - 1, joint)}")
+        with monkeypatch.context() as patched:
+            patched.setattr(lattice, name, lambda bt: moved[bt])
+            for bt in moved:
+                assert not oracle(bt, 1)
+            assert main(["verify", "--suite", "lattice", "--max-d", "5"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert err == ""
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            f"[FAIL] {label}-twist integer maximum (radius 3): {cases} cases checked"]
+        assert [line for line in lines if line.startswith(" ")] == expected
+        assert len(expected) == cases and lines[-1] == "RESULT: FAIL"
 
 
 def test_single_quadratic_matches_pairing_functional():
@@ -819,11 +845,11 @@ def test_joint_quadratic_matches_pairing_functional():
 
 
 def _assert_built_from_its_parts(res, bt, xs, k):
-    """A result keeps integers over 8(d-1)k, the A and twist form it was
-    built from, and a Fraction delta; f = (form at the point)/(2(d-1))."""
+    """A result keeps integers over 8(d-1)k, the A it was built from, and a
+    Fraction delta; f = (twist form at the point)/(2(d-1))."""
     std = a_standard(bt)
     quad = twist_quadratic(bt, std.degrees, xs)
-    assert (res.std, res.quad, res.scale) == (std, quad, 8 * (bt.d - 1) * k)
+    assert (res.std, res.scale) == (std, 8 * (bt.d - 1) * k)
     states = twist_states(bt.d, res.point.alpha, res.point.xi)
     assert fmax_and_value(bt, res)[1] == Fraction(quad.value(states), 2 * (bt.d - 1))
     assert type(res.delta) is Fraction

@@ -19,6 +19,7 @@ from maroni import formulas, lattice
 from maroni.chain import a_standard
 from maroni.combinatorics import HurwitzParams, Partition, make_boundary_type
 from maroni.errors import DomainError
+from maroni.twist import twist_quadratic
 from maroni.verify import CheckResult
 
 
@@ -30,7 +31,7 @@ def every_record():
     correction = lattice.correction_n(bt)
     records = [
         params, mu, bt, a_standard(bt),
-        correction.point, correction, correction.quad,
+        correction.point, correction, twist_quadratic(bt, correction.std.degrees),
         tuple(formulas.build_table(params, "st"))[0], formulas.dp_trigonal_check(4)[0],
     ]
     return {type(r).__name__: r for r in records}
